@@ -22,7 +22,6 @@ from .errors import (
 from .generators import generate_matrix
 from .kernels import (
     eigenvalues,
-    eigenvector,
     gram_schmidt_orthonormalize,
     householder_qr,
     rank_with_tol,
@@ -60,7 +59,6 @@ __all__ = [
     "commutator_normality_oracle",
     "dist_to_spectrum",
     "eigenvalues",
-    "eigenvector",
     "gap",
     "generate_matrix",
     "gram_schmidt_orthonormalize",

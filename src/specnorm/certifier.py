@@ -2,16 +2,24 @@
 
 One probe point is placed next to each distinct eigenvalue; if the shifted
 smallest singular value equals the distance to the spectrum at every probe,
-the matrix is normal and an orthonormal eigenbasis is constructed as the
-certificate. A failing probe is itself a nonnormality witness. The
-definitional commutator residual ||A*A - AA*||_F is always computed as an
-independent cross-check.
+the matrix is normal. A failing probe is itself a nonnormality witness. The
+certificate of a Normal verdict is the unitary factor Q of the Schur form
+A = Q T Q* that also gave the spectrum: T is diagonal for a normal matrix, so
+Q is an orthonormal eigenbasis, checked by ||Q*Q - I||_F and by
+||offdiag(Q*AQ)||_F, Henrici's departure from normality. The definitional
+commutator residual ||A*A - AA*||_F is always computed as an independent
+cross-check.
+
+The structural checks (semisimplicity, left eigenvectors, orthogonal
+eigenspaces, an eigenbasis assembled from kernel vectors) are library
+functions for testing those consequences of normality; certify does not
+call them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +30,6 @@ from .spectral import Spectrum
 
 TOL_EQ = 1e-8
 TOL_CERT = 1e-8
-STRUCT_TOL = 1e-7
 TIE_MARGIN = 1e-3
 
 
@@ -39,11 +46,6 @@ class Probe:
     z: complex
     cluster_index: int
     radius: float
-
-
-@dataclass
-class ProbeSet:
-    probes: list[Probe]
 
 
 @dataclass
@@ -90,10 +92,9 @@ class CertifyConfig:
     probe_angle: float = 0.0
     tie_margin: float = TIE_MARGIN
     tol_cert: float = TOL_CERT
-    struct_tol: float = STRUCT_TOL
 
 
-def select_probes(spectrum: Spectrum, policy: ProbePolicy | None = None) -> ProbeSet:
+def select_probes(spectrum: Spectrum, policy: ProbePolicy | None = None) -> list[Probe]:
     """One probe per distinct eigenvalue, strictly nearest to its own cluster.
 
     z_k = lambda_k + r_k * e^{i*angle} with r_k just under half the distance
@@ -124,7 +125,7 @@ def select_probes(spectrum: Spectrum, policy: ProbePolicy | None = None) -> Prob
             raise IndeterminateError(
                 f"probe {probe.z} is not strictly nearest to its eigenvalue"
             )
-    return ProbeSet(probes)
+    return probes
 
 
 def criterion_holds(a, probe: tuple[complex, complex], tol_eq: float) -> ProbeEvidence:
@@ -200,7 +201,7 @@ def build_orthonormal_eigenbasis(a, clusters: list[EigspaceCluster]) -> np.ndarr
     if total != n:
         raise IndeterminateError(
             f"eigenspace dimensions sum to {total}, expected {n}; "
-            "the constructive pipeline cannot span the space"
+            "the cluster bases cannot span the space"
         )
     vectors = [v for c in clusters for v in c.basis]
     ortho = kernels.gram_schmidt_orthonormalize(vectors)
@@ -235,12 +236,13 @@ def recheck_certificate(a, cert: NormalityCertificate) -> tuple[float, float]:
 
 
 def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
-    """Full probe-and-construct pipeline deciding normality.
+    """Full probe pipeline deciding normality.
 
     Schur -> cluster -> probe placement -> per-probe equality tests; on a
-    clean pass the orthonormal eigenbasis is built and attached. Kernel
-    non-convergence or a contradiction between probe evidence and the
-    constructive stage raises IndeterminateError rather than guessing.
+    clean pass the Schur vectors are attached as the eigenbasis once they
+    meet the residual bounds ||U*U - I||_F <= tol_cert*n and
+    ||offdiag(U*AU)||_F <= tol_cert*scale. Kernel non-convergence or a
+    residual over its bound raises IndeterminateError rather than guessing.
     """
     a = as_square(a)
     if config is None:
@@ -260,81 +262,54 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         "probe_angle": config.probe_angle,
         "tie_margin": config.tie_margin,
         "tol_cert": config.tol_cert,
-        "struct_tol": config.struct_tol,
     }
     try:
         sch = kernels.schur(a)
         spectrum = spectral.cluster_spectrum(sch.eigenvalues, anorm, cluster_tol)
-        probeset = select_probes(
+        probes = select_probes(
             spectrum, ProbePolicy(angle=config.probe_angle, tie_margin=config.tie_margin)
         )
         reps = spectrum.representatives
         evidence = [
-            criterion_holds(a, (p.z, reps[p.cluster_index]), tol_eq)
-            for p in probeset.probes
+            criterion_holds(a, (p.z, reps[p.cluster_index]), tol_eq) for p in probes
         ]
-        commutator = commutator_normality_oracle(a)
-        failing = [e for e in evidence if not e.passed]
-        if failing:
-            return NormalityCertificate(
-                verdict="Nonnormal",
-                evidence=evidence,
-                witness=failing[0],
-                eigenbasis=None,
-                residuals=Residuals(commutator=commutator),
-                config_echo=config_echo,
-            )
-        # constructive stage: structural checks and eigenbasis assembly
-        clusters = []
-        for k, (lam, m_k) in enumerate(spectrum.clusters):
-            is_ss, m_k, s_k = semisimple_check(
-                a, lam, config.struct_tol, multiplicity=m_k
-            )
-            if not is_ss or m_k != s_k:
-                raise IndeterminateError(
-                    f"probes passed but eigenvalue {lam} is not numerically "
-                    f"semisimple (m_k={m_k}, s_k={s_k})"
-                )
-            basis = eigenspace_basis(a, lam, s_k)
-            for x in basis:
-                eig_resid = float(np.linalg.norm(a @ x - complex(lam) * x))
-                if eig_resid > config.tol_cert * scale * 10:
-                    raise IndeterminateError(
-                        f"kernel basis vector for {lam} has eigen-residual "
-                        f"{eig_resid:.3e}"
-                    )
-                if not left_eigvec_check(a, lam, x, config.struct_tol):
-                    raise IndeterminateError(
-                        f"probes passed but a vector for {lam} fails the "
-                        "left-eigenvector check"
-                    )
-            clusters.append(EigspaceCluster(complex(lam), m_k, s_k, basis))
-        if not cross_orthogonality_check(clusters, config.struct_tol):
-            raise IndeterminateError(
-                "probes passed but eigenspaces are not mutually orthogonal"
-            )
-        u = build_orthonormal_eigenbasis(a, clusters)
-        unitarity = frob(u.conj().T @ u - np.eye(n))
-        diagonalization = offdiag_frobenius(u.conj().T @ a @ u)
-        if unitarity > config.tol_cert * n or diagonalization > config.tol_cert * scale:
-            raise IndeterminateError(
-                f"constructed eigenbasis fails residual bounds "
-                f"(unitarity {unitarity:.3e}, off-diagonal {diagonalization:.3e})"
-            )
-        return NormalityCertificate(
-            verdict="Normal",
-            evidence=evidence,
-            witness=None,
-            eigenbasis=u,
-            residuals=Residuals(
-                commutator=commutator,
-                unitarity=float(unitarity),
-                diagonalization=float(diagonalization),
-            ),
-            config_echo=config_echo,
-        )
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
+    commutator = commutator_normality_oracle(a)
+    failing = [e for e in evidence if not e.passed]
+    if failing:
+        return NormalityCertificate(
+            verdict="Nonnormal",
+            evidence=evidence,
+            witness=failing[0],
+            eigenbasis=None,
+            residuals=Residuals(commutator=commutator),
+            config_echo=config_echo,
+        )
+    u = sch.q
+    unitarity = frob(u.conj().T @ u - np.eye(n))
+    diagonalization = offdiag_frobenius(u.conj().T @ a @ u)
+    for name, value, bound in (
+        ("unitarity", unitarity, config.tol_cert * n),
+        ("off-diagonal", diagonalization, config.tol_cert * scale),
+    ):
+        if value > bound:
+            raise IndeterminateError(
+                f"probes passed but the Schur eigenbasis {name} residual "
+                f"{value:.3e} exceeds its bound {bound:.3e}"
+            )
+    return NormalityCertificate(
+        verdict="Normal",
+        evidence=evidence,
+        witness=None,
+        eigenbasis=u,
+        residuals=Residuals(
+            commutator=commutator,
+            unitarity=float(unitarity),
+            diagonalization=float(diagonalization),
+        ),
+        config_echo=config_echo,
+    )
 
 
 def matrix_hash(a) -> str:

@@ -34,13 +34,10 @@ class DependenceError(SpecnormError):
         self.index = index
 
 
-class SpectrumError(SpecnormError):
-    """A shift is not close enough to the spectrum for eigenvector extraction."""
-
-
 class IndeterminateError(SpecnormError):
     """The certifier could not reach a trustworthy verdict.
 
     Raised instead of returning a silent Normal/Nonnormal when a kernel fails
-    to converge or the constructive pipeline contradicts the probe evidence.
+    to converge, or when every probe passes but the Schur vectors fail the
+    certificate's residual bounds.
     """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specnorm import certifier
+from specnorm import certifier, kernels
 from specnorm.certifier import (
     CertifyConfig,
     EigspaceCluster,
@@ -23,7 +23,7 @@ from specnorm.certifier import (
 )
 from specnorm.errors import IndeterminateError
 from specnorm.generators import generate_matrix
-from specnorm.kernels import frob
+from specnorm.kernels import frob, schur
 from specnorm.spectral import cluster_spectrum, spectrum_of
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -36,8 +36,8 @@ class TestSelectProbes:
         s = cluster_spectrum([1.0, 5.0], scale=5.0, cluster_tol=1e-8)
         ps = select_probes(s)
         reps = s.representatives
-        assert len(ps.probes) == 2
-        for probe in ps.probes:
+        assert len(ps) == 2
+        for probe in ps:
             own = abs(probe.z - reps[probe.cluster_index])
             other = min(
                 abs(probe.z - reps[j]) for j in range(2) if j != probe.cluster_index
@@ -48,20 +48,20 @@ class TestSelectProbes:
     def test_single_eigenvalue_radius(self):
         s = spectrum_of(np.zeros((3, 3)))
         ps = select_probes(s)
-        assert len(ps.probes) == 1
-        assert ps.probes[0].radius == pytest.approx(0.5)
+        assert len(ps) == 1
+        assert ps[0].radius == pytest.approx(0.5)
         # Jordan block J_3(0): scale sqrt(2) > 1 gives radius sqrt(2)/2
         j3 = np.zeros((3, 3), dtype=complex)
         j3[0, 1] = j3[1, 2] = 1.0
         s3 = spectrum_of(j3)
         ps3 = select_probes(s3)
-        assert ps3.probes[0].radius == pytest.approx(np.sqrt(2.0) / 2.0)
+        assert ps3[0].radius == pytest.approx(np.sqrt(2.0) / 2.0)
 
     def test_angled_probes(self):
         s = cluster_spectrum([0.0, 2.0j], scale=2.0, cluster_tol=1e-8)
         ps = select_probes(s, ProbePolicy(angle=np.pi / 2.0))
         reps = s.representatives
-        for probe in ps.probes:
+        for probe in ps:
             lam = reps[probe.cluster_index]
             direction = (probe.z - lam) / abs(probe.z - lam)
             assert direction == pytest.approx(1j, abs=1e-12)
@@ -106,10 +106,8 @@ class TestLeftEigvecCheck:
 
     def test_hermitian_true(self):
         h = generate_matrix("hermitian", 4, 5)
-        from specnorm.kernels import eigenvector, schur
-        lam = schur(h).eigenvalues[0]
-        x = eigenvector(h, lam)
-        assert left_eigvec_check(h, lam, x, 1e-7)
+        sch = schur(h)
+        assert left_eigvec_check(h, sch.eigenvalues[0], sch.q[:, 0], 1e-7)
 
 
 class TestSemisimpleCheck:
@@ -255,6 +253,42 @@ class TestCertify:
         unit, diag = recheck_certificate(a, cert)
         assert unit <= 1e-8 * 6
         assert diag <= 1e-8 * frob(a)
+
+    def test_normal_runs_one_schur_and_one_svd_per_eigenvalue(self, monkeypatch):
+        a = generate_matrix("normal", 8, 0)
+        assert len(spectrum_of(a).clusters) == 8
+        calls = {"svd": 0, "schur": 0}
+        for name in calls:
+            original = getattr(kernels, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, counted)
+        assert certify(a).verdict == "Normal"
+        assert calls == {"svd": 8, "schur": 1}
+
+    def test_normal_eigenbasis_is_the_schur_factor(self):
+        a = generate_matrix("normal", 7, 3)
+        cert = certify(a)
+        assert cert.verdict == "Normal"
+        assert np.array_equal(cert.eigenbasis, schur(a).q)
+
+    def test_near_normal_passing_probes_fail_the_offdiagonal_gate(self):
+        # eps = 1e-6 is below the probes' resolution, so every probe passes;
+        # the Schur factor's departure from normality is what refuses it
+        a = generate_matrix("near_normal", 8, 0, 1e-6)
+        spect = spectrum_of(a)
+        reps = spect.representatives
+        tol_eq = certifier.TOL_EQ * max(1.0, frob(a))
+        for p in select_probes(spect):
+            assert criterion_holds(a, (p.z, reps[p.cluster_index]), tol_eq).passed
+        with pytest.raises(IndeterminateError) as exc:
+            certify(a)
+        bound = certifier.TOL_CERT * max(1.0, frob(a))
+        assert "off-diagonal residual" in str(exc.value)
+        assert f"bound {bound:.3e}" in str(exc.value)
 
     def test_structural_consequences_on_pass_path(self):
         a = generate_matrix("normal", 5, 37)

@@ -9,8 +9,8 @@ from specnorm.errors import (
     DependenceError,
     DimensionError,
     NonFiniteError,
-    SpectrumError,
 )
+from specnorm.generators import generate_matrix
 
 import oracles
 
@@ -119,6 +119,18 @@ class TestSvd:
             assert np.linalg.norm(a.conj().T @ res.u[:, i] - res.sigma[i] * res.v[:, i]) \
                 <= 1e-10 * anorm
 
+    def test_converges_when_only_lower_triangle_exceeds_tolerance(self):
+        # The Gram matrix w*w is not exactly Hermitian in floating point: here
+        # its (5, 0) entry sits just above the rotation threshold while (0, 5)
+        # is under it, so a convergence test that read both triangles saw
+        # every sweep as unconverged although none rotated anything.
+        a = generate_matrix("ginibre", 6, 14011)
+        z = complex(np.linspace(-2, 2, 21)[2], np.linspace(-2, 2, 21)[12])
+        m = z * np.eye(6) - a
+        sigma = kernels.svd(m).sigma
+        reference = np.linalg.svd(m, compute_uv=False)
+        assert np.abs(sigma - reference).max() <= 1e-14 * np.linalg.norm(m)
+
 
 class TestSmallestSingularValue:
     def test_identity(self):
@@ -131,25 +143,6 @@ class TestSmallestSingularValue:
     def test_singular_row_of_zeros(self):
         a = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
         assert kernels.smallest_singular_value(a) <= 2 * kernels.EPS * 3.0
-
-
-class TestEigenvector:
-    def test_diagonal(self):
-        x = kernels.eigenvector(np.diag([1.0, 2.0]).astype(complex), 2.0)
-        assert np.allclose(x, [0.0, 1.0], atol=1e-10)
-
-    def test_kernel_vector(self):
-        x = kernels.eigenvector(J2, 0.0)
-        assert np.allclose(x, [1.0, 0.0], atol=1e-8)
-
-    def test_hand_solved(self):
-        a = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-        x = kernels.eigenvector(a, 2.0)
-        assert np.allclose(x, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-10)
-
-    def test_rejects_far_shift(self):
-        with pytest.raises(SpectrumError):
-            kernels.eigenvector(np.diag([1.0, 2.0]).astype(complex), 10.0)
 
 
 class TestRankWithTol:
@@ -229,7 +222,6 @@ def test_singular_values_unitary_invariance(seed):
     rng = np.random.default_rng(100 + seed)
     n = 6
     a = random_complex(rng, n, n)
-    from specnorm.generators import generate_matrix
     q1 = generate_matrix("unitary", n, 2 * seed)
     q2 = generate_matrix("unitary", n, 2 * seed + 1)
     s0 = kernels.svd(a).sigma
