@@ -3,6 +3,9 @@
 Self-contained factorizations for desk-scale matrices: Householder QR,
 Hessenberg reduction plus shifted-QR Schur form, one-sided Jacobi SVD,
 rank at tolerance, and modified Gram-Schmidt.
+`sigma_min_batch` is the same Jacobi, values only, over a stack of matrices;
+`scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of one
+matrix with it, while the certifier's probes call `svd` one matrix at a time.
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called on any production path.
 """
@@ -376,6 +379,72 @@ def smallest_singular_value(a) -> float:
     """sigma_n of a square matrix."""
     a = as_square(a)
     return float(svd(a).sigma[-1])
+
+
+def sigma_min_batch(stack, max_sweeps: int = MAX_JACOBI_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest singular value of every matrix in a (B, n, n) stack.
+
+    The one-sided Jacobi of `svd`, values only: no U, no V, no completion.
+    The cyclic pair loop runs in Python and each pair step is vectorized over
+    the stack, with fresh column inner products and the rotation rule, angle
+    and tolerance of `svd`. An item has converged when a sweep rotates
+    nothing in it; it then stays as it is, so it leaves the working set.
+    sigma_min is the smallest column norm. Items with a NaN or Inf entry, or
+    that still rotate in sweep max_sweeps, are reported unconverged; the
+    former with sigma_min NaN.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise DimensionError(f"expected a (B, n, n) stack with n >= 1, got {stack.shape}")
+    b, n, _ = stack.shape
+    ctol = 8.0 * EPS * n
+
+    def min_column_norm(x):
+        return np.sqrt(np.sum(np.abs(x) ** 2, axis=2)).min(axis=1)
+
+    sigma = np.full(b, np.nan)
+    converged = np.zeros(b, dtype=bool)
+    live = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+    # w[i, j] is column j of live item i, contiguous
+    w = stack[live].transpose(0, 2, 1).copy()
+    for _ in range(max_sweeps):
+        if live.size == 0:
+            break
+        rotated = np.zeros(live.size, dtype=bool)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                wp = w[:, p]
+                wq = w[:, q]
+                app = np.einsum("ij,ij->i", wp.conj(), wp).real
+                aqq = np.einsum("ij,ij->i", wq.conj(), wq).real
+                apq = np.einsum("ij,ij->i", wp.conj(), wq)
+                acpq = np.abs(apq)
+                scale = np.sqrt(app * aqq)
+                k = np.flatnonzero((scale > 0.0) & (acpq > ctol * scale))
+                if k.size == 0:
+                    continue
+                rotated[k] = True
+                acpq = acpq[k]
+                phase = apq[k] / acpq
+                tau = (aqq[k] - app[k]) / (2.0 * acpq)
+                # svd's angle with the sign outside the fraction: each branch
+                # of svd's formula has a zero divisor for large |tau| of the
+                # other sign; hypot(1, tau) is sqrt(1 + tau^2) without overflow
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+                cs = 1.0 / np.sqrt(1.0 + t * t)
+                sn = t * cs
+                wpk = wp[k]
+                wqk = wq[k]
+                w[k, p] = wpk * (cs * phase)[:, None] - wqk * sn[:, None]
+                w[k, q] = wpk * (sn * phase)[:, None] + wqk * cs[:, None]
+        done = ~rotated
+        converged[live[done]] = True
+        sigma[live[done]] = min_column_norm(w[done])
+        live = live[rotated]
+        w = w[rotated]
+    if live.size:
+        sigma[live] = min_column_norm(w)
+    return sigma, converged
 
 
 def rank_with_tol(a, tol: float) -> int:

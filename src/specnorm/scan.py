@@ -1,4 +1,9 @@
-"""Complex-plane grid scans of the distance gap."""
+"""Complex-plane grid scans of the distance gap.
+
+Both entry points evaluate s(z) = sigma_n(zI - A) at all their shifts with
+the batched values-only Jacobi kernel, kernels.sigma_min_batch, and d(z) with
+one broadcast over the cluster representatives.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, spectral
-from .errors import SpecnormError
+from .errors import ConvergenceError
 from .kernels import EPS, as_square, frob
 
 KAPPA_RATIO = 1e-9
+# complex entries per stack of shifted matrices in one kernel call
+STACK_ENTRIES = 1 << 16
 
 FLAG_OK = "ok"
 FLAG_AT_EIGENVALUE = "at_eigenvalue"
@@ -42,12 +49,37 @@ def _at_eigenvalue_tol(a: np.ndarray, sigma1: float) -> float:
     return a.shape[0] * EPS * max(sigma1, 1.0)
 
 
+def _shifted_sigma_min(a: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s(z) = sigma_n(zI - A) at every z, with a converged flag per z.
+
+    The shifted matrices go to kernels.sigma_min_batch in stacks of at most
+    about STACK_ENTRIES complex entries, so memory stays bounded on large
+    grids.
+    """
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    step = max(1, STACK_ENTRIES // (n * n))
+    s = np.empty(zs.size)
+    converged = np.empty(zs.size, dtype=bool)
+    for lo in range(0, zs.size, step):
+        hi = lo + step
+        s[lo:hi], converged[lo:hi] = kernels.sigma_min_batch(zs[lo:hi, None, None] * eye - a)
+    return s, converged
+
+
+def _dist_to_spectrum(zs: np.ndarray, spectrum: spectral.Spectrum) -> np.ndarray:
+    """d(z) at every z; elementwise the arithmetic of spectral.dist_to_spectrum."""
+    return np.abs(zs[:, None] - spectrum.representatives[None, :]).min(axis=1)
+
+
 def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) -> GridScan:
     """Sample s(z), d(z) and their ratio on a closed rectangular grid.
 
-    Row-major ordering: the imaginary axis is the slow index. Nodes too close
-    to an eigenvalue are flagged and their ratio pinned to 1 to avoid 0/0; a
-    kernel failure marks the sample failed and the scan continues.
+    Row-major ordering: the imaginary axis is the slow index. Every node's
+    s(z) comes from one batched values-only Jacobi (kernels.sigma_min_batch)
+    over the stack of shifted matrices. Nodes too close to an eigenvalue are
+    flagged and their ratio pinned to 1 to avoid 0/0; a node whose Jacobi
+    did not converge is marked failed and the scan continues.
     """
     a = as_square(a)
     re_min, re_max, im_min, im_max = map(float, region)
@@ -60,22 +92,21 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     eig_tol = _at_eigenvalue_tol(a, sigma1)
     res = np.linspace(re_min, re_max, nx) if nx > 1 else np.array([re_min])
     ims = np.linspace(im_min, im_max, ny) if ny > 1 else np.array([im_min])
+    grid = np.empty((ny, nx), dtype=np.complex128)
+    grid.real = res[None, :]
+    grid.imag = ims[:, None]
+    zs = grid.ravel()
+    ds = _dist_to_spectrum(zs, spectrum)
+    ss, converged = _shifted_sigma_min(a, zs)
     samples = []
-    failures = 0
-    for im in ims:
-        for re in res:
-            z = complex(re, im)
-            d, _ = spectral.dist_to_spectrum(z, spectrum)
-            try:
-                s = spectral.shifted_smallest_singular(a, z)
-            except SpecnormError:
-                failures += 1
-                samples.append(GridSample(z, float("nan"), d, float("nan"), FLAG_FAILED))
-                continue
-            if d <= eig_tol:
-                samples.append(GridSample(z, s, d, 1.0, FLAG_AT_EIGENVALUE))
-            else:
-                samples.append(GridSample(z, s, d, s / d, FLAG_OK))
+    for z, s, d, ok in zip(zs.tolist(), ss.tolist(), ds.tolist(), converged.tolist()):
+        if not ok:
+            samples.append(GridSample(z, float("nan"), d, float("nan"), FLAG_FAILED))
+        elif d <= eig_tol:
+            samples.append(GridSample(z, s, d, 1.0, FLAG_AT_EIGENVALUE))
+        else:
+            samples.append(GridSample(z, s, d, s / d, FLAG_OK))
+    failures = int(np.count_nonzero(~converged))
     return GridScan(re_min, re_max, im_min, im_max, nx, ny, samples, failures)
 
 
@@ -94,23 +125,38 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     """Sample |d(z) - s(z)| at random z in a disc of radius 2*||A||_F.
 
     The disc is centered at the centroid of the distinct eigenvalues, where
-    the equality is most discriminating.
+    the equality is most discriminating. All z are drawn first (r, then
+    theta, per sample) and s(z) comes from one batched values-only Jacobi
+    (kernels.sigma_min_batch); a shift on which it did not converge raises
+    ConvergenceError.
     """
     a = as_square(a)
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
     spectrum = spectral.spectrum_of(a)
     center = complex(np.mean(spectrum.representatives))
     radius = 2.0 * max(frob(a), 1.0)
     rng = np.random.default_rng(seed)
-    max_gap = -1.0
-    worst = center
-    for _ in range(n_samples):
+    zs = np.empty(n_samples, dtype=np.complex128)
+    for i in range(n_samples):
         r = radius * np.sqrt(rng.uniform())
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        z = center + r * np.exp(1j * theta)
-        g = abs(spectral.gap(a, z, spectrum))
-        if g > max_gap:
-            max_gap = g
-            worst = z
+        zs[i] = center + r * np.exp(1j * theta)
+    ss, converged = _shifted_sigma_min(a, zs)
+    if not converged.all():
+        bad = int(np.count_nonzero(~converged))
+        raise ConvergenceError(
+            f"Jacobi sigma_min did not converge after {kernels.MAX_JACOBI_SWEEPS} "
+            f"sweeps at {bad} of {n_samples} shifts",
+            iterations=kernels.MAX_JACOBI_SWEEPS,
+        )
+    max_gap = -1.0
+    worst = center
+    if n_samples:
+        gaps = np.abs(_dist_to_spectrum(zs, spectrum) - ss)
+        i = int(np.argmax(gaps))
+        max_gap = float(gaps[i])
+        worst = complex(zs[i])
     return CorollaryReport(
         n_samples=n_samples,
         radius=float(radius),

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from specnorm import io as snio
+from specnorm import kernels, spectral
+from specnorm import scan as scanmod
 from specnorm.certifier import commutator_normality_oracle
 from specnorm.cli import main
+from specnorm.errors import ConvergenceError
 from specnorm.generators import KINDS, generate_matrix
 from specnorm.kernels import frob
 from specnorm.scan import (
     FLAG_AT_EIGENVALUE,
+    FLAG_FAILED,
     FLAG_OK,
     check_corollary,
     scan_grid,
@@ -20,6 +24,35 @@ from specnorm.scan import (
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 PHI_MINUS = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def unconverge_item(monkeypatch, item):
+    """Make kernels.sigma_min_batch report one stack item unconverged."""
+    original = kernels.sigma_min_batch
+
+    def patched(stack, *args, **kwargs):
+        sigma, converged = original(stack, *args, **kwargs)
+        converged[item] = False
+        return sigma, converged
+
+    monkeypatch.setattr(kernels, "sigma_min_batch", patched)
+
+
+def reference_corollary(a, n_samples, seed):
+    """The per-sample loop over spectral.gap: (center, radius, max gap, worst z)."""
+    spectrum = spectral.spectrum_of(a)
+    center = complex(np.mean(spectrum.representatives))
+    radius = 2.0 * max(frob(a), 1.0)
+    rng = np.random.default_rng(seed)
+    max_gap, worst = -1.0, center
+    for _ in range(n_samples):
+        r = radius * np.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        z = center + r * np.exp(1j * theta)
+        g = abs(spectral.gap(a, z, spectrum))
+        if g > max_gap:
+            max_gap, worst = g, z
+    return center, radius, max_gap, worst
 
 
 class TestGenerators:
@@ -90,6 +123,33 @@ class TestScanGrid:
             if s.flag == FLAG_OK:
                 assert 0.0 <= s.ratio <= 1.0 + 1e-9
 
+    def test_distance_column_is_dist_to_spectrum(self):
+        g = generate_matrix("ginibre", 5, 4)
+        spectrum = spectral.spectrum_of(g)
+        scan = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 21, 21)
+        for s in scan.samples:
+            assert s.d == spectral.dist_to_spectrum(s.z, spectrum)[0]
+
+    def test_stack_chunks_match_one_stack(self, monkeypatch):
+        g = generate_matrix("ginibre", 4, 2)
+        whole = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 7, 5)
+        # 3 shifted 4x4 matrices per kernel call, the last call gets 2
+        monkeypatch.setattr(scanmod, "STACK_ENTRIES", 3 * 16)
+        chunked = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 7, 5)
+        assert chunked.samples == whole.samples
+
+    def test_unconverged_node_fails_and_scan_continues(self, monkeypatch):
+        unconverge_item(monkeypatch, 4)
+        g = generate_matrix("ginibre", 4, 2)
+        scan = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 3, 3)
+        assert scan.failures == 1
+        failed = scan.samples[4]
+        assert failed.flag == FLAG_FAILED
+        assert np.isnan(failed.s) and np.isnan(failed.ratio)
+        assert failed.d > 0.0
+        others = scan.samples[:4] + scan.samples[5:]
+        assert all(s.flag == FLAG_OK for s in others)
+
     def test_row_major_order(self):
         scan = scan_grid(J2, (0.0, 1.0, 0.0, 1.0), 2, 2)
         zs = [s.z for s in scan.samples]
@@ -105,6 +165,30 @@ class TestCheckCorollary:
     def test_jordan_large_gap(self):
         rep = check_corollary(J2, n_samples=50, seed=1)
         assert rep.max_abs_gap > 1e-3
+
+    @pytest.mark.parametrize("name", ["J2", "ginibre5"])
+    def test_matches_per_sample_loop(self, name):
+        # normal matrices are left out: their gaps are round-off noise, so
+        # the worst z is not determined by the matrix
+        a = J2 if name == "J2" else generate_matrix("ginibre", 5, 4)
+        rep = check_corollary(a, n_samples=200, seed=3)
+        center, radius, max_gap, worst = reference_corollary(a, 200, 3)
+        assert rep.center == center
+        assert rep.radius == radius
+        assert rep.worst_z == worst
+        assert abs(rep.max_abs_gap - max_gap) <= 1e-14 * max(1.0, frob(a))
+
+    def test_zero_samples(self):
+        rep = check_corollary(J2, n_samples=0)
+        assert rep.max_abs_gap == -1.0
+        assert rep.worst_z == rep.center
+        with pytest.raises(ValueError):
+            check_corollary(J2, n_samples=-1)
+
+    def test_unconverged_shift_raises(self, monkeypatch):
+        unconverge_item(monkeypatch, 7)
+        with pytest.raises(ConvergenceError):
+            check_corollary(generate_matrix("ginibre", 4, 2), n_samples=20)
 
 
 class TestMatrixIO:
@@ -205,6 +289,15 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "Nonnormal"
+
+    def test_check_corollary_unconverged_exit_three(self, monkeypatch, capsys):
+        unconverge_item(monkeypatch, 0)
+        code = main([
+            "check-corollary", "--kind", "ginibre", "--n", "4", "--seed", "2",
+            "--samples", "40",
+        ])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         outs = []

@@ -1,5 +1,7 @@
 """Kernel factorization tests: frozen examples, residual properties, oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,74 @@ class TestSmallestSingularValue:
     def test_singular_row_of_zeros(self):
         a = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
         assert kernels.smallest_singular_value(a) <= 2 * kernels.EPS * 3.0
+
+
+def shifted_stack(a, xs):
+    """zI - A for z on the square grid xs x xs, row-major."""
+    zs = (xs[None, :] + 1j * xs[:, None]).ravel()
+    return zs[:, None, None] * np.eye(a.shape[0]) - a
+
+
+def sigma_min_batch_strict(stack, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return kernels.sigma_min_batch(stack, **kwargs)
+
+
+class TestSigmaMinBatch:
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
+    def test_agrees_with_svd(self, kind, n):
+        param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
+        a = generate_matrix(kind, n, 3, param)
+        # the grid passes through 0, the eigenvalue of the Jordan block
+        stack = shifted_stack(a, np.linspace(-2, 2, 5))
+        sigma, converged = sigma_min_batch_strict(stack)
+        assert converged.all()
+        reference = np.array([kernels.svd(m).sigma[-1] for m in stack])
+        scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        assert (np.abs(sigma - reference) / scale).max() <= 1e-14
+
+    def test_zero_stack(self):
+        sigma, converged = sigma_min_batch_strict(np.zeros((3, 4, 4)))
+        assert np.array_equal(sigma, np.zeros(3))
+        assert converged.all()
+
+    def test_empty_stack(self):
+        sigma, converged = kernels.sigma_min_batch(np.zeros((0, 5, 5)))
+        assert sigma.shape == (0,) and converged.shape == (0,)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionError):
+            kernels.sigma_min_batch(np.zeros((2, 3, 4)))
+
+    def test_converges_when_only_lower_triangle_exceeds_tolerance(self):
+        # the shifted matrix of TestSvd's case of the same name
+        a = generate_matrix("ginibre", 6, 14011)
+        xs = np.linspace(-2, 2, 21)
+        z = xs[2] + 1j * xs[12]
+        sigma, converged = sigma_min_batch_strict((z * np.eye(6) - a)[None])
+        assert converged[0]
+        assert sigma[0] == pytest.approx(0.58017909, abs=1e-8)
+
+    def test_sweep_budget_reports_unconverged_items(self):
+        # a diagonal item has orthogonal columns, so its first sweep rotates
+        # nothing; a shifted ginibre matrix needs more than one sweep
+        a = generate_matrix("ginibre", 6, 2)
+        stack = np.concatenate([
+            shifted_stack(a, np.linspace(-1, 1, 3)),
+            np.diag(np.arange(1.0, 7.0))[None],
+        ])
+        sigma, converged = sigma_min_batch_strict(stack, max_sweeps=1)
+        assert converged.tolist() == [False] * 9 + [True]
+        assert sigma[-1] == 1.0
+        assert sigma_min_batch_strict(stack)[1].all()
+
+    def test_nonfinite_item_is_unconverged(self):
+        stack = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
+        sigma, converged = kernels.sigma_min_batch(stack)
+        assert converged.tolist() == [True, False]
+        assert sigma[0] == 1.0 and np.isnan(sigma[1])
 
 
 class TestRankWithTol:
