@@ -5,7 +5,8 @@ Hessenberg reduction plus shifted-QR Schur form, one-sided Jacobi SVD,
 rank at tolerance, and modified Gram-Schmidt.
 `sigma_min_batch` is the same Jacobi, values only, over a stack of matrices;
 `scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of one
-matrix with it, while the certifier's probes call `svd` one matrix at a time.
+matrix with it through `spectral.shifted_sigma_min_batch`, while the
+certifier's probes call `svd` one matrix at a time.
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called on any production path.
 """
@@ -381,7 +382,7 @@ def smallest_singular_value(a) -> float:
     return float(svd(a).sigma[-1])
 
 
-def sigma_min_batch(stack, max_sweeps: int = MAX_JACOBI_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     """Smallest singular value of every matrix in a (B, n, n) stack.
 
     The one-sided Jacobi of `svd`, values only: no U, no V, no completion.
@@ -390,7 +391,7 @@ def sigma_min_batch(stack, max_sweeps: int = MAX_JACOBI_SWEEPS) -> tuple[np.ndar
     and tolerance of `svd`. An item has converged when a sweep rotates
     nothing in it; it then stays as it is, so it leaves the working set.
     sigma_min is the smallest column norm. Items with a NaN or Inf entry, or
-    that still rotate in sweep max_sweeps, are reported unconverged; the
+    that still rotate in sweep MAX_JACOBI_SWEEPS, are reported unconverged; the
     former with sigma_min NaN.
     """
     stack = np.asarray(stack, dtype=np.complex128)
@@ -407,7 +408,7 @@ def sigma_min_batch(stack, max_sweeps: int = MAX_JACOBI_SWEEPS) -> tuple[np.ndar
     live = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
     # w[i, j] is column j of live item i, contiguous
     w = stack[live].transpose(0, 2, 1).copy()
-    for _ in range(max_sweeps):
+    for _ in range(MAX_JACOBI_SWEEPS):
         if live.size == 0:
             break
         rotated = np.zeros(live.size, dtype=bool)

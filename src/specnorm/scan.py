@@ -1,7 +1,8 @@
 """Complex-plane grid scans of the distance gap.
 
 Both entry points evaluate s(z) = sigma_n(zI - A) at all their shifts with
-the batched values-only Jacobi kernel, kernels.sigma_min_batch, and d(z) with
+spectral.shifted_sigma_min_batch, which runs the batched values-only Jacobi
+kernel kernels.sigma_min_batch, and d(z) with spectral.dist_to_spectrum_batch,
 one broadcast over the cluster representatives.
 """
 
@@ -12,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, spectral
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NonFiniteError
 from .kernels import EPS, as_square, frob
 
 KAPPA_RATIO = 1e-9
-# complex entries per stack of shifted matrices in one kernel call
-STACK_ENTRIES = 1 << 16
 
 FLAG_OK = "ok"
 FLAG_AT_EIGENVALUE = "at_eigenvalue"
@@ -49,29 +48,6 @@ def _at_eigenvalue_tol(a: np.ndarray, sigma1: float) -> float:
     return a.shape[0] * EPS * max(sigma1, 1.0)
 
 
-def _shifted_sigma_min(a: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s(z) = sigma_n(zI - A) at every z, with a converged flag per z.
-
-    The shifted matrices go to kernels.sigma_min_batch in stacks of at most
-    about STACK_ENTRIES complex entries, so memory stays bounded on large
-    grids.
-    """
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    step = max(1, STACK_ENTRIES // (n * n))
-    s = np.empty(zs.size)
-    converged = np.empty(zs.size, dtype=bool)
-    for lo in range(0, zs.size, step):
-        hi = lo + step
-        s[lo:hi], converged[lo:hi] = kernels.sigma_min_batch(zs[lo:hi, None, None] * eye - a)
-    return s, converged
-
-
-def _dist_to_spectrum(zs: np.ndarray, spectrum: spectral.Spectrum) -> np.ndarray:
-    """d(z) at every z; elementwise the arithmetic of spectral.dist_to_spectrum."""
-    return np.abs(zs[:, None] - spectrum.representatives[None, :]).min(axis=1)
-
-
 def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) -> GridScan:
     """Sample s(z), d(z) and their ratio on a closed rectangular grid.
 
@@ -96,8 +72,8 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     grid.real = res[None, :]
     grid.imag = ims[:, None]
     zs = grid.ravel()
-    ds = _dist_to_spectrum(zs, spectrum)
-    ss, converged = _shifted_sigma_min(a, zs)
+    ds = spectral.dist_to_spectrum_batch(zs, spectrum)
+    ss, converged = spectral.shifted_sigma_min_batch(a, zs)
     samples = []
     for z, s, d, ok in zip(zs.tolist(), ss.tolist(), ds.tolist(), converged.tolist()):
         if not ok:
@@ -127,8 +103,9 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     The disc is centered at the centroid of the distinct eigenvalues, where
     the equality is most discriminating. All z are drawn first (r, then
     theta, per sample) and s(z) comes from one batched values-only Jacobi
-    (kernels.sigma_min_batch); a shift on which it did not converge raises
-    ConvergenceError.
+    (kernels.sigma_min_batch). A shifted matrix with a NaN or Inf entry
+    raises NonFiniteError; a shift on which the Jacobi did not converge
+    raises ConvergenceError.
     """
     a = as_square(a)
     if n_samples < 0:
@@ -142,7 +119,9 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
         r = radius * np.sqrt(rng.uniform())
         theta = rng.uniform(0.0, 2.0 * np.pi)
         zs[i] = center + r * np.exp(1j * theta)
-    ss, converged = _shifted_sigma_min(a, zs)
+    ss, converged = spectral.shifted_sigma_min_batch(a, zs)
+    if np.isnan(ss).any():
+        raise NonFiniteError("shifted matrix zI - A contains NaN or Inf entries")
     if not converged.all():
         bad = int(np.count_nonzero(~converged))
         raise ConvergenceError(
@@ -153,7 +132,7 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     max_gap = -1.0
     worst = center
     if n_samples:
-        gaps = np.abs(_dist_to_spectrum(zs, spectrum) - ss)
+        gaps = np.abs(spectral.dist_to_spectrum_batch(zs, spectrum) - ss)
         i = int(np.argmax(gaps))
         max_gap = float(gaps[i])
         worst = complex(zs[i])

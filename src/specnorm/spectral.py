@@ -19,6 +19,8 @@ from .kernels import as_square, frob
 KAPPA_GAP = 1e-9
 KAPPA_WEYL = 1e-9
 CLUSTER_TOL = 1e-7
+# complex entries per stack of shifted matrices in one kernels.sigma_min_batch call
+STACK_ENTRIES = 1 << 16
 
 
 def default_cluster_tol(scale: float) -> float:
@@ -131,12 +133,36 @@ def dist_to_spectrum(z: complex, spectrum: Spectrum) -> tuple[float, int]:
     return float(dists[idx]), idx
 
 
+def dist_to_spectrum_batch(zs: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """d(z) at every z of a 1-D array, with the arithmetic of dist_to_spectrum."""
+    return np.abs(spectrum.representatives[None, :] - zs[:, None]).min(axis=1)
+
+
 def shifted_smallest_singular(a, z: complex) -> float:
     """s(z) = sigma_n(zI - A), formed explicitly."""
     a = as_square(a)
     n = a.shape[0]
     shifted = complex(z) * np.eye(n, dtype=np.complex128) - a
     return kernels.smallest_singular_value(shifted)
+
+
+def shifted_sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s(z) = sigma_n(zI - A) at every z of a 1-D array, with a converged flag per z.
+
+    The shifted matrices go to kernels.sigma_min_batch in stacks of at most
+    about STACK_ENTRIES complex entries, so memory stays bounded on large
+    grids. A z whose shifted matrix has a NaN or Inf entry comes back
+    unconverged with s(z) NaN.
+    """
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    step = max(1, STACK_ENTRIES // (n * n))
+    s = np.empty(zs.size)
+    converged = np.empty(zs.size, dtype=bool)
+    for lo in range(0, zs.size, step):
+        hi = lo + step
+        s[lo:hi], converged[lo:hi] = kernels.sigma_min_batch(zs[lo:hi, None, None] * eye - a)
+    return s, converged
 
 
 def gap(a, z: complex, spectrum: Spectrum) -> float:

@@ -8,10 +8,9 @@ import pytest
 
 from specnorm import io as snio
 from specnorm import kernels, spectral
-from specnorm import scan as scanmod
 from specnorm.certifier import commutator_normality_oracle
 from specnorm.cli import main
-from specnorm.errors import ConvergenceError
+from specnorm.errors import ConvergenceError, NonFiniteError
 from specnorm.generators import KINDS, generate_matrix
 from specnorm.kernels import frob
 from specnorm.scan import (
@@ -30,8 +29,8 @@ def unconverge_item(monkeypatch, item):
     """Make kernels.sigma_min_batch report one stack item unconverged."""
     original = kernels.sigma_min_batch
 
-    def patched(stack, *args, **kwargs):
-        sigma, converged = original(stack, *args, **kwargs)
+    def patched(stack):
+        sigma, converged = original(stack)
         converged[item] = False
         return sigma, converged
 
@@ -134,7 +133,7 @@ class TestScanGrid:
         g = generate_matrix("ginibre", 4, 2)
         whole = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 7, 5)
         # 3 shifted 4x4 matrices per kernel call, the last call gets 2
-        monkeypatch.setattr(scanmod, "STACK_ENTRIES", 3 * 16)
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 16)
         chunked = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 7, 5)
         assert chunked.samples == whole.samples
 
@@ -189,6 +188,13 @@ class TestCheckCorollary:
         unconverge_item(monkeypatch, 7)
         with pytest.raises(ConvergenceError):
             check_corollary(generate_matrix("ginibre", 4, 2), n_samples=20)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_shift_raises_nonfinite(self):
+        # ||A||_F overflows, so the disc radius and every sampled z are not finite
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            check_corollary(J2 * 1e200, n_samples=5)
 
 
 class TestMatrixIO:

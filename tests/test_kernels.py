@@ -153,10 +153,10 @@ def shifted_stack(a, xs):
     return zs[:, None, None] * np.eye(a.shape[0]) - a
 
 
-def sigma_min_batch_strict(stack, **kwargs):
+def sigma_min_batch_strict(stack):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return kernels.sigma_min_batch(stack, **kwargs)
+        return kernels.sigma_min_batch(stack)
 
 
 class TestSigmaMinBatch:
@@ -195,7 +195,7 @@ class TestSigmaMinBatch:
         assert converged[0]
         assert sigma[0] == pytest.approx(0.58017909, abs=1e-8)
 
-    def test_sweep_budget_reports_unconverged_items(self):
+    def test_sweep_budget_reports_unconverged_items(self, monkeypatch):
         # a diagonal item has orthogonal columns, so its first sweep rotates
         # nothing; a shifted ginibre matrix needs more than one sweep
         a = generate_matrix("ginibre", 6, 2)
@@ -203,10 +203,11 @@ class TestSigmaMinBatch:
             shifted_stack(a, np.linspace(-1, 1, 3)),
             np.diag(np.arange(1.0, 7.0))[None],
         ])
-        sigma, converged = sigma_min_batch_strict(stack, max_sweeps=1)
+        assert sigma_min_batch_strict(stack)[1].all()
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        sigma, converged = sigma_min_batch_strict(stack)
         assert converged.tolist() == [False] * 9 + [True]
         assert sigma[-1] == 1.0
-        assert sigma_min_batch_strict(stack)[1].all()
 
     def test_nonfinite_item_is_unconverged(self):
         stack = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
