@@ -21,12 +21,10 @@ from .errors import (
 )
 from .generators import generate_matrix
 from .kernels import (
-    eigenvalues,
     gram_schmidt_orthonormalize,
     householder_qr,
     rank_with_tol,
     schur,
-    singular_values,
     smallest_singular_value,
     svd,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "cluster_spectrum",
     "commutator_normality_oracle",
     "dist_to_spectrum",
-    "eigenvalues",
     "gap",
     "generate_matrix",
     "gram_schmidt_orthonormalize",
@@ -67,7 +64,6 @@ __all__ = [
     "scan_grid",
     "schur",
     "shifted_smallest_singular",
-    "singular_values",
     "smallest_singular_value",
     "spectrum_of",
     "svd",

@@ -3,10 +3,15 @@
 Self-contained factorizations for desk-scale matrices: Householder QR,
 Hessenberg reduction plus shifted-QR Schur form, one-sided Jacobi SVD,
 rank at tolerance, and modified Gram-Schmidt.
-`sigma_min_batch` is the same Jacobi, values only, over a stack of matrices;
+Every singular value comes from one one-sided Jacobi core, `_jacobi`, over a
+stack of column sets. Its sweeps follow a round-robin ordering (Brent & Luk
+1985): the n(n-1)/2 column pairs fall into n-1 steps (n for odd n) of
+disjoint pairs, and each step is one vectorized update of every pair in every
+live item. `svd` runs it on the single item [A; I], so V rides along under A;
+`sigma_min_batch` runs it on a (B, n, n) stack for values only, which is how
 `scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of one
-matrix with it through `spectral.shifted_sigma_min_batch`, while the
-certifier's probes call `svd` one matrix at a time.
+matrix (through `spectral.shifted_sigma_min_batch`), while the certifier's
+probes call `svd` one matrix at a time.
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called on any production path.
 """
@@ -48,14 +53,13 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def phase_normalize(v: np.ndarray, cutoff: float = 0.0) -> np.ndarray:
+def phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first significant component is real >= 0."""
     v = np.asarray(v, dtype=np.complex128)
     amax = float(np.max(np.abs(v))) if v.size else 0.0
     if amax == 0.0:
         return v.copy()
-    thresh = max(cutoff, 1e-12 * amax)
-    idx = int(np.argmax(np.abs(v) > thresh))
+    idx = int(np.argmax(np.abs(v) > 1e-12 * amax))
     pivot = v[idx]
     if abs(pivot) == 0.0:
         return v.copy()
@@ -156,17 +160,17 @@ def _wilkinson_shift(a: complex, b: complex, c: complex, d: complex) -> complex:
     return r1 if abs(r1 - d) <= abs(r2 - d) else r2
 
 
-def schur(a, max_iters: int | None = None) -> SchurResult:
+def schur(a) -> SchurResult:
     """Complex Schur decomposition via Hessenberg + shifted QR.
 
     Single Wilkinson shift from the trailing 2x2 of the active block;
     deflation when a subdiagonal drops below eps*(|h[i-1,i-1]| + |h[i,i]|).
-    An exceptional shift is injected every 10 stagnant iterations.
+    An exceptional shift is injected every 10 stagnant iterations, and at
+    most MAX_QR_ITERS_PER_N * n iterations run.
     """
     a = as_square(a)
     n = a.shape[0]
-    if max_iters is None:
-        max_iters = MAX_QR_ITERS_PER_N * n
+    max_iters = MAX_QR_ITERS_PER_N * n
     anorm = frob(a)
     if n == 1:
         return SchurResult(
@@ -237,11 +241,6 @@ def schur(a, max_iters: int | None = None) -> SchurResult:
     return SchurResult(q, t, np.diag(t).copy())
 
 
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalue multiset of a square matrix (diagonal of the Schur form)."""
-    return schur(a).eigenvalues
-
-
 # ---------------------------------------------------------------------------
 # One-sided Jacobi SVD
 # ---------------------------------------------------------------------------
@@ -254,29 +253,6 @@ class SvdResult:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-
-def _pair_rotation(app: float, apq: complex, aqq: float) -> np.ndarray:
-    """Unitary 2x2 diagonalizing the Hermitian pair Gram matrix.
-
-    Factors the phase of the coupling out and applies the classical Jacobi
-    angle t = sign(tau)/(|tau| + sqrt(1 + tau^2)), which stays accurate when
-    the coupling is tiny relative to the diagonal separation.
-    """
-    acpq = abs(apq)
-    if acpq == 0.0:
-        return np.eye(2, dtype=np.complex128)
-    phase = apq / acpq
-    tau = (aqq - app) / (2.0 * acpq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    cs = 1.0 / np.sqrt(1.0 + t * t)
-    sn = t * cs
-    return np.array(
-        [[cs * phase, sn * phase], [-sn, cs]], dtype=np.complex128
-    )
 
 
 def _complete_orthonormal(cols: list[np.ndarray], m: int) -> np.ndarray:
@@ -294,55 +270,115 @@ def _complete_orthonormal(cols: list[np.ndarray], m: int) -> np.ndarray:
     return np.column_stack(cols + [q[:, j] for j in range(r, m)])
 
 
-def svd(a, max_sweeps: int = MAX_JACOBI_SWEEPS) -> SvdResult:
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The steps of one parallel Jacobi sweep over n columns.
+
+    Round-robin (circle) ordering: slot 0 stays put and the other slots move
+    one place per step; odd n gets a dummy slot, whose partner sits the step
+    out. Each step is a pair of index arrays (p, q) with p < q, disjoint
+    within the step, and every pair p < q meets in exactly one step.
+    """
+    m = n + n % 2
+    slots = list(range(m))
+    steps = []
+    for _ in range(m - 1):
+        pairs = [
+            (min(i, j), max(i, j))
+            for i, j in zip(slots[: m // 2], reversed(slots[m // 2 :]))
+            if max(i, j) < n
+        ]
+        if pairs:
+            p, q = np.array(pairs).T
+            steps.append((p, q))
+        slots = [slots[0], slots[-1]] + slots[1:-1]
+    return steps
+
+
+def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-sided Jacobi over a (B, n, L) stack of column sets.
+
+    x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
+    entries of the columns; the remaining entries ride along (in `svd` they
+    are the rows of V). Each sweep runs the steps of `_round_robin(n)`, and
+    each step rotates all its disjoint pairs in all live items at once, with
+    fresh inner products. A pair rotates when its coupling exceeds
+    8*EPS*rows times sqrt(app)*sqrt(aqq); the square roots are taken apart
+    because app*aqq overflows for entries above about 1e77 and underflows
+    below about 1e-81. The coupling's phase is factored out and the angle is
+    t = sign(tau)/(|tau| + sqrt(1 + tau^2)), accurate when the coupling is
+    tiny against the diagonal separation.
+    An item has converged when a sweep rotates nothing in it; it then leaves
+    the working set. Returns the rotated stack, the converged flags and, per
+    item, the largest coupling ratio rotated in its last sweep (0 when
+    converged).
+    """
+    w = x.copy()
+    b, n, _ = w.shape
+    ctol = 8.0 * EPS * rows
+    steps = _round_robin(n)
+    converged = np.zeros(b, dtype=bool)
+    off = np.zeros(b)
+    live = np.arange(b)
+    work = w
+    for _ in range(MAX_JACOBI_SWEEPS):
+        if live.size == 0:
+            break
+        ratio = np.zeros(live.size)
+        for p, q in steps:
+            wp = work[:, p]
+            wq = work[:, q]
+            hp = wp[..., :rows]
+            hq = wq[..., :rows]
+            app = np.einsum("ikl,ikl->ik", hp.conj(), hp).real
+            aqq = np.einsum("ikl,ikl->ik", hq.conj(), hq).real
+            apq = np.einsum("ikl,ikl->ik", hp.conj(), hq)
+            acpq = np.abs(apq)
+            scale = np.sqrt(app) * np.sqrt(aqq)
+            rot = (scale > 0.0) & (acpq > ctol * scale)
+            if not rot.any():
+                continue
+            # pairs that do not rotate get the identity: t = 0, phase 1
+            acpq = np.where(rot, acpq, 1.0)
+            ratio = np.maximum(ratio, (acpq / np.where(rot, scale, np.inf)).max(axis=1))
+            phase = np.where(rot, apq / acpq, 1.0)
+            tau = (aqq - app) / (2.0 * acpq)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(rot, t, 0.0)
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = t * cs
+            work[:, p] = wp * (cs * phase)[..., None] - wq * sn[..., None]
+            work[:, q] = wp * (sn * phase)[..., None] + wq * cs[..., None]
+        off[live] = ratio
+        done = ratio == 0.0
+        converged[live[done]] = True
+        w[live[done]] = work[done]
+        live, work = live[~done], work[~done]
+    w[live] = work
+    return w, converged, off
+
+
+def svd(a) -> SvdResult:
     """One-sided Jacobi SVD of a dense complex matrix.
 
-    Rotations orthogonalize column pairs of the working matrix; the
-    accumulated rotations form V and the normalized columns form U. Accurate
-    for small singular values, which is what the shifted-matrix consumers
-    need.
+    `_jacobi` orthogonalizes the columns of A with V's rows riding along
+    under them; the normalized columns form U. Accurate for small singular
+    values, which is what the shifted-matrix consumers need.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m < n:
-        res = svd(a.conj().T, max_sweeps=max_sweeps)
+        res = svd(a.conj().T)
         return SvdResult(res.v, res.sigma, res.u)
-    w = a.copy()
-    v = np.eye(n, dtype=np.complex128)
-    ctol = 8.0 * EPS * max(m, n)
-    off = 0.0
-    for _ in range(max_sweeps):
-        g = w.conj().T @ w
-        # largest coupling ratio rotated away in this sweep. The pair test is
-        # the only convergence test: w*w is not exactly Hermitian, so a test
-        # of its full off-diagonal can disagree with the upper-triangle
-        # rotation rule and stall. A sweep that rotates nothing has converged.
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = max(g[p, p].real, 0.0)
-                aqq = max(g[q, q].real, 0.0)
-                apq = g[p, q]
-                scale = np.sqrt(app * aqq)
-                if scale == 0.0 or abs(apq) <= ctol * scale:
-                    continue
-                off = max(off, float(abs(apq) / scale))
-                j = _pair_rotation(app, apq, aqq)
-                w[:, [p, q]] = w[:, [p, q]] @ j
-                v[:, [p, q]] = v[:, [p, q]] @ j
-                jc = j.conj().T
-                g[[p, q], :] = jc @ g[[p, q], :]
-                g[:, [p, q]] = g[:, [p, q]] @ j
-                g[p, q] = np.conj(g[q, p])
-        if off == 0.0:
-            break
-    else:
+    x, converged, off = _jacobi(np.vstack([a, np.eye(n)]).T[None], m)
+    if not converged[0]:
         raise ConvergenceError(
-            f"Jacobi SVD did not converge after {max_sweeps} sweeps "
-            f"(off-diagonal ratio {off:.3e})",
-            iterations=max_sweeps,
-            residual=off,
+            f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
+            f"(off-diagonal ratio {off[0]:.3e})",
+            iterations=MAX_JACOBI_SWEEPS,
+            residual=float(off[0]),
         )
+    w = x[0, :, :m].T
+    v = x[0, :, m:].T
     norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
@@ -372,10 +408,6 @@ def svd(a, max_sweeps: int = MAX_JACOBI_SWEEPS) -> SvdResult:
     return SvdResult(u, sigma, v)
 
 
-def singular_values(a) -> np.ndarray:
-    return svd(a).sigma
-
-
 def smallest_singular_value(a) -> float:
     """sigma_n of a square matrix."""
     a = as_square(a)
@@ -385,66 +417,20 @@ def smallest_singular_value(a) -> float:
 def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     """Smallest singular value of every matrix in a (B, n, n) stack.
 
-    The one-sided Jacobi of `svd`, values only: no U, no V, no completion.
-    The cyclic pair loop runs in Python and each pair step is vectorized over
-    the stack, with fresh column inner products and the rotation rule, angle
-    and tolerance of `svd`. An item has converged when a sweep rotates
-    nothing in it; it then stays as it is, so it leaves the working set.
-    sigma_min is the smallest column norm. Items with a NaN or Inf entry, or
-    that still rotate in sweep MAX_JACOBI_SWEEPS, are reported unconverged; the
-    former with sigma_min NaN.
+    `_jacobi` over the stack's columns, values only: no U, no V, no
+    completion; sigma_min is the smallest column norm. Items with a NaN or
+    Inf entry, or that still rotate in sweep MAX_JACOBI_SWEEPS, are reported
+    unconverged; the former with sigma_min NaN.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise DimensionError(f"expected a (B, n, n) stack with n >= 1, got {stack.shape}")
     b, n, _ = stack.shape
-    ctol = 8.0 * EPS * n
-
-    def min_column_norm(x):
-        return np.sqrt(np.sum(np.abs(x) ** 2, axis=2)).min(axis=1)
-
     sigma = np.full(b, np.nan)
     converged = np.zeros(b, dtype=bool)
-    live = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
-    # w[i, j] is column j of live item i, contiguous
-    w = stack[live].transpose(0, 2, 1).copy()
-    for _ in range(MAX_JACOBI_SWEEPS):
-        if live.size == 0:
-            break
-        rotated = np.zeros(live.size, dtype=bool)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                app = np.einsum("ij,ij->i", wp.conj(), wp).real
-                aqq = np.einsum("ij,ij->i", wq.conj(), wq).real
-                apq = np.einsum("ij,ij->i", wp.conj(), wq)
-                acpq = np.abs(apq)
-                scale = np.sqrt(app * aqq)
-                k = np.flatnonzero((scale > 0.0) & (acpq > ctol * scale))
-                if k.size == 0:
-                    continue
-                rotated[k] = True
-                acpq = acpq[k]
-                phase = apq[k] / acpq
-                tau = (aqq[k] - app[k]) / (2.0 * acpq)
-                # svd's angle with the sign outside the fraction: each branch
-                # of svd's formula has a zero divisor for large |tau| of the
-                # other sign; hypot(1, tau) is sqrt(1 + tau^2) without overflow
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * cs
-                wpk = wp[k]
-                wqk = wq[k]
-                w[k, p] = wpk * (cs * phase)[:, None] - wqk * sn[:, None]
-                w[k, q] = wpk * (sn * phase)[:, None] + wqk * cs[:, None]
-        done = ~rotated
-        converged[live[done]] = True
-        sigma[live[done]] = min_column_norm(w[done])
-        live = live[rotated]
-        w = w[rotated]
-    if live.size:
-        sigma[live] = min_column_norm(w)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    w, converged[finite], _ = _jacobi(stack[finite].transpose(0, 2, 1), n)
+    sigma[finite] = np.sqrt(np.sum(np.abs(w) ** 2, axis=2)).min(axis=1)
     return sigma, converged
 
 

@@ -16,8 +16,6 @@ from . import kernels, spectral
 from .errors import ConvergenceError, NonFiniteError
 from .kernels import EPS, as_square, frob
 
-KAPPA_RATIO = 1e-9
-
 FLAG_OK = "ok"
 FLAG_AT_EIGENVALUE = "at_eigenvalue"
 FLAG_FAILED = "failed"

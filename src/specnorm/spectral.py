@@ -15,8 +15,7 @@ import numpy as np
 from . import kernels
 from .kernels import as_square, frob
 
-# d(z) - s(z) may only go below zero by round-off; scaled by max(1, ||A||_F)
-KAPPA_GAP = 1e-9
+# round-off slack of the Weyl bounds check; scaled by max(1, ||A||_F)
 KAPPA_WEYL = 1e-9
 CLUSTER_TOL = 1e-7
 # complex entries per stack of shifted matrices in one kernels.sigma_min_batch call

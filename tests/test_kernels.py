@@ -85,12 +85,26 @@ class TestSchur:
         expected = np.exp(2j * np.pi * np.arange(n) / n)
         assert oracles.match_multisets(res.eigenvalues, expected) < 1e-10
 
-    def test_nonconvergence_reports_iterations(self):
+    def test_nonconvergence_reports_iterations(self, monkeypatch):
+        # a budget of one QR iteration per row: this 8x8 matrix needs more
+        monkeypatch.setattr(kernels, "MAX_QR_ITERS_PER_N", 1)
         rng = np.random.default_rng(0)
         a = random_complex(rng, 8, 8)
         with pytest.raises(ConvergenceError) as exc:
-            kernels.schur(a, max_iters=1)
-        assert exc.value.iterations == 1
+            kernels.schur(a)
+        assert exc.value.iterations == 8
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_meets_every_pair_once_per_sweep(n):
+    steps = kernels._round_robin(n)
+    assert len(steps) == (n if n % 2 and n > 1 else n - 1)
+    met = []
+    for p, q in steps:
+        # the pairs of one step are disjoint, so they rotate independently
+        assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+        met += zip(p.tolist(), q.tolist())
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 class TestSvd:
@@ -133,6 +147,42 @@ class TestSvd:
         reference = np.linalg.svd(m, compute_uv=False)
         assert np.abs(sigma - reference).max() <= 1e-14 * np.linalg.norm(m)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16),
+                                       (5, 3), (3, 5), (7, 2), (2, 7)])
+    def test_agrees_with_reference(self, shape):
+        # numpy.linalg is a test-only reference here
+        rng = np.random.default_rng(sum(shape))
+        a = random_complex(rng, *shape)
+        anorm = np.linalg.norm(a)
+        res = kernels.svd(a)
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.abs(res.sigma - reference).max() <= 1e-14 * anorm
+        m, n = shape
+        assert res.u.shape == (m, m) and res.v.shape == (n, n)
+        k = min(m, n)
+        assert np.linalg.norm(a @ res.v[:, :k] - res.u[:, :k] * res.sigma) <= 1e-10 * anorm
+
+    def test_sweep_budget_raises_convergence_error(self, monkeypatch):
+        m = 0.5 * np.eye(6) - generate_matrix("ginibre", 6, 2)
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as exc:
+            kernels.svd(m)
+        assert exc.value.iterations == 1
+        assert exc.value.residual > 8 * kernels.EPS * 6
+
+    @pytest.mark.parametrize("factor", [1e78, 1e150, 1e-100, 1e-130])
+    def test_scaled_entries_neither_overflow_nor_underflow(self, factor):
+        # app*aqq overflows above about 1e77 and underflows below about 1e-81;
+        # sqrt(app)*sqrt(aqq) does neither in this range
+        a = generate_matrix("ginibre", 4, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = kernels.svd(a).sigma[-1]
+            from_svd = kernels.svd(a * factor).sigma[-1] / factor
+            from_batch = kernels.sigma_min_batch((a * factor)[None])[0][0] / factor
+        assert from_svd == pytest.approx(expected, rel=1e-14)
+        assert from_batch == pytest.approx(expected, rel=1e-14)
+
 
 class TestSmallestSingularValue:
     def test_identity(self):
@@ -171,6 +221,15 @@ class TestSigmaMinBatch:
         assert converged.all()
         reference = np.array([kernels.svd(m).sigma[-1] for m in stack])
         scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        assert (np.abs(sigma - reference) / scale).max() <= 1e-14
+
+    def test_agrees_with_reference(self):
+        a = generate_matrix("ginibre", 16, 4)
+        stack = shifted_stack(a, np.linspace(-2, 2, 4))
+        sigma, converged = sigma_min_batch_strict(stack)
+        assert converged.all()
+        reference = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        scale = np.linalg.norm(stack, axis=(1, 2))
         assert (np.abs(sigma - reference) / scale).max() <= 1e-14
 
     def test_zero_stack(self):
