@@ -7,11 +7,21 @@ Every singular value comes from one one-sided Jacobi core, `_jacobi`, over a
 stack of column sets. Its sweeps follow a round-robin ordering (Brent & Luk
 1985): the n(n-1)/2 column pairs fall into n-1 steps (n for odd n) of
 disjoint pairs, and each step is one vectorized update of every pair in every
-live item. `svd` runs it on the single item [A; I], so V rides along under A;
+live item. A step costs a fixed number of numpy calls however many pairs
+and items it holds: pairs that do not rotate get the exact identity through
+arithmetic masks, not a branch, and the coupling's phase rides on the one
+complex coefficient of the rotation (the columns differ from a real-sine
+rotation's only by unit phases, which `svd`'s phase pinning on V absorbs).
+An item that runs out of sweeps reports the largest coupling left in its
+columns.
+`svd` runs the core on the single item [A; I], so V rides along under A;
 `sigma_min_batch` runs it on a (B, n, n) stack for values only, which is how
 `scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of one
 matrix (through `spectral.shifted_sigma_min_batch`), while the certifier's
-probes call `svd` one matrix at a time.
+probes call `svd` one matrix at a time. A singular value that comes out
+non-finite (entries outside about 1e-145..1e154) is never reported as a
+result: `svd` raises NonFiniteError and `sigma_min_batch` flags the item
+unconverged with NaN.
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called on any production path.
 """
@@ -19,6 +29,7 @@ called on any production path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,13 +281,15 @@ def _complete_orthonormal(cols: list[np.ndarray], m: int) -> np.ndarray:
     return np.column_stack(cols + [q[:, j] for j in range(r, m)])
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The steps of one parallel Jacobi sweep over n columns.
 
     Round-robin (circle) ordering: slot 0 stays put and the other slots move
     one place per step; odd n gets a dummy slot, whose partner sits the step
     out. Each step is a pair of index arrays (p, q) with p < q, disjoint
-    within the step, and every pair p < q meets in exactly one step.
+    within the step, and every pair p < q meets in exactly one step. The
+    result is cached per n, so its arrays are read-only.
     """
     m = n + n % 2
     slots = list(range(m))
@@ -289,9 +302,11 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         ]
         if pairs:
             p, q = np.array(pairs).T
+            p.flags.writeable = False
+            q.flags.writeable = False
             steps.append((p, q))
         slots = [slots[0], slots[-1]] + slots[1:-1]
-    return steps
+    return tuple(steps)
 
 
 def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,17 +315,28 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
     entries of the columns; the remaining entries ride along (in `svd` they
     are the rows of V). Each sweep runs the steps of `_round_robin(n)`, and
-    each step rotates all its disjoint pairs in all live items at once, with
-    fresh inner products. A pair rotates when its coupling exceeds
-    8*EPS*rows times sqrt(app)*sqrt(aqq); the square roots are taken apart
-    because app*aqq overflows for entries above about 1e77 and underflows
-    below about 1e-81. The coupling's phase is factored out and the angle is
-    t = sign(tau)/(|tau| + sqrt(1 + tau^2)), accurate when the coupling is
-    tiny against the diagonal separation.
+    each step rotates all its disjoint pairs in all live items at once, from
+    fresh inner products (`np.vecdot`, which conjugates its first argument).
+    A pair rotates when its coupling |apq| exceeds 8*EPS*rows times
+    sqrt(app)*sqrt(aqq); the square roots are taken apart because app*aqq
+    overflows for entries above about 1e77 and underflows below about 1e-81.
+    The angle is t = sign(tau)/(|tau| + sqrt(1 + tau^2)) with
+    tau = (aqq - app)/(2|apq|), accurate when the coupling is tiny against
+    the diagonal separation, and cs = 1/sqrt(1 + t^2).
+    The coupling's phase rides on one coefficient, s = t*cs*apq/|apq|:
+    w_p <- cs*w_p - conj(s)*w_q and w_q <- s*w_p + cs*w_q. This is the
+    rotation with a real sine followed by the unit phase conj(apq/|apq|) on
+    the new w_p, so no norm and no coupling magnitude changes.
+    Pairs that do not rotate get the exact identity without a branch: their
+    denominator is |apq| + 1 instead of |apq| and their t is 0, so cs = 1
+    and s = 0.
     An item has converged when a sweep rotates nothing in it; it then leaves
     the working set. Returns the rotated stack, the converged flags and, per
-    item, the largest coupling ratio rotated in its last sweep (0 when
-    converged).
+    item, the residual: 0 for a converged item, and for an item still
+    rotating when MAX_JACOBI_SWEEPS ran out, the largest coupling
+    |<w_p, w_q>|/(||w_p|| ||w_q||) over the first `rows` entries left in its
+    returned columns. Entries outside about 1e-145..1e154 give non-finite
+    columns; the callers reject those.
     """
     w = x.copy()
     b, n, _ = w.shape
@@ -323,37 +349,47 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for _ in range(MAX_JACOBI_SWEEPS):
         if live.size == 0:
             break
-        ratio = np.zeros(live.size)
+        moved = np.zeros(live.size, dtype=bool)
         for p, q in steps:
             wp = work[:, p]
             wq = work[:, q]
             hp = wp[..., :rows]
             hq = wq[..., :rows]
-            app = np.einsum("ikl,ikl->ik", hp.conj(), hp).real
-            aqq = np.einsum("ikl,ikl->ik", hq.conj(), hq).real
-            apq = np.einsum("ikl,ikl->ik", hp.conj(), hq)
+            # squared norms as real dot products over the float64 view,
+            # which at B in the hundreds cost 0.6x of a complex vecdot
+            fp = hp.view(np.float64)
+            fq = hq.view(np.float64)
+            app = np.vecdot(fp, fp)
+            aqq = np.vecdot(fq, fq)
+            apq = np.vecdot(hp, hq)
             acpq = np.abs(apq)
             scale = np.sqrt(app) * np.sqrt(aqq)
             rot = (scale > 0.0) & (acpq > ctol * scale)
-            if not rot.any():
+            if not np.count_nonzero(rot):
                 continue
-            # pairs that do not rotate get the identity: t = 0, phase 1
-            acpq = np.where(rot, acpq, 1.0)
-            ratio = np.maximum(ratio, (acpq / np.where(rot, scale, np.inf)).max(axis=1))
-            phase = np.where(rot, apq / acpq, 1.0)
-            tau = (aqq - app) / (2.0 * acpq)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(rot, t, 0.0)
+            moved |= rot.any(axis=1)
+            den = acpq + ~rot
+            tau = (aqq - app) / (2.0 * den)
+            t = np.copysign(rot / (np.abs(tau) + np.hypot(1.0, tau)), tau)
             cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * cs
-            work[:, p] = wp * (cs * phase)[..., None] - wq * sn[..., None]
-            work[:, q] = wp * (sn * phase)[..., None] + wq * cs[..., None]
-        off[live] = ratio
-        done = ratio == 0.0
+            s = (t * cs) * apq / den
+            cs = cs[..., None]
+            s = s[..., None]
+            work[:, p] = cs * wp - s.conj() * wq
+            work[:, q] = s * wp + cs * wq
+        done = ~moved
         converged[live[done]] = True
         w[live[done]] = work[done]
         live, work = live[~done], work[~done]
-    w[live] = work
+    if live.size:
+        w[live] = work
+        h = work[..., :rows]
+        gram = h.conj() @ h.transpose(0, 2, 1)
+        norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
+        p, q = np.triu_indices(n, 1)
+        scale = norms[:, p] * norms[:, q]
+        ratio = np.abs(gram[:, p, q]) / np.where(scale > 0.0, scale, np.inf)
+        off[live] = ratio.max(axis=1, initial=0.0)
     return w, converged, off
 
 
@@ -362,7 +398,10 @@ def svd(a) -> SvdResult:
 
     `_jacobi` orthogonalizes the columns of A with V's rows riding along
     under them; the normalized columns form U. Accurate for small singular
-    values, which is what the shifted-matrix consumers need.
+    values, which is what the shifted-matrix consumers need. Raises
+    ConvergenceError when the sweep budget runs out (residual: the largest
+    coupling left at exit) and NonFiniteError when a singular value is not
+    finite, which happens for entries outside about 1e-145..1e154.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -380,6 +419,11 @@ def svd(a) -> SvdResult:
     w = x[0, :, :m].T
     v = x[0, :, m:].T
     norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
+    if not np.isfinite(norms).all():
+        raise NonFiniteError(
+            "Jacobi SVD produced a non-finite singular value "
+            "(entries outside about 1e-145..1e154)"
+        )
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
     v = v[:, order]
@@ -419,8 +463,9 @@ def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
 
     `_jacobi` over the stack's columns, values only: no U, no V, no
     completion; sigma_min is the smallest column norm. Items with a NaN or
-    Inf entry, or that still rotate in sweep MAX_JACOBI_SWEEPS, are reported
-    unconverged; the former with sigma_min NaN.
+    Inf entry or a non-finite sigma_min (entries outside about
+    1e-145..1e154), or that still rotate in sweep MAX_JACOBI_SWEEPS, are
+    reported unconverged; the former two with sigma_min NaN.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
@@ -431,6 +476,9 @@ def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(stack).all(axis=(1, 2))
     w, converged[finite], _ = _jacobi(stack[finite].transpose(0, 2, 1), n)
     sigma[finite] = np.sqrt(np.sum(np.abs(w) ** 2, axis=2)).min(axis=1)
+    bad = ~np.isfinite(sigma)
+    sigma[bad] = np.nan
+    converged[bad] = False
     return sigma, converged
 
 

@@ -101,9 +101,10 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     The disc is centered at the centroid of the distinct eigenvalues, where
     the equality is most discriminating. All z are drawn first (r, then
     theta, per sample) and s(z) comes from one batched values-only Jacobi
-    (kernels.sigma_min_batch). A shifted matrix with a NaN or Inf entry
-    raises NonFiniteError; a shift on which the Jacobi did not converge
-    raises ConvergenceError.
+    (kernels.sigma_min_batch). A shift whose s(z) is not finite (a NaN or
+    Inf entry in zI - A, or a kernel overflow or underflow) raises
+    NonFiniteError; a shift on which the Jacobi did not converge raises
+    ConvergenceError.
     """
     a = as_square(a)
     if n_samples < 0:
@@ -119,7 +120,11 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
         zs[i] = center + r * np.exp(1j * theta)
     ss, converged = spectral.shifted_sigma_min_batch(a, zs)
     if np.isnan(ss).any():
-        raise NonFiniteError("shifted matrix zI - A contains NaN or Inf entries")
+        raise NonFiniteError(
+            "s(z) is not finite at some shift: zI - A has NaN or Inf entries, "
+            "or its entries are outside the range the Jacobi kernel squares "
+            "without overflow or underflow"
+        )
     if not converged.all():
         bad = int(np.count_nonzero(~converged))
         raise ConvergenceError(

@@ -149,6 +149,17 @@ class TestScanGrid:
         others = scan.samples[:4] + scan.samples[5:]
         assert all(s.flag == FLAG_OK for s in others)
 
+    def test_out_of_range_matrix_raises_instead_of_nan_nodes(self):
+        # entries of 1e-150 drive the Jacobi couplings subnormal: every s(z)
+        # is NaN, which must not come back as nine `ok` nodes
+        a = generate_matrix("normal", 4, 1) * 1e-150
+        zs = np.array([x + 1j * y for y in (-1, 0, 1) for x in (-1, 0, 1)]) * 1e-150
+        with np.errstate(all="ignore"):
+            s, converged = spectral.shifted_sigma_min_batch(a, zs)
+            assert not converged.any() and np.isnan(s).all()
+            with pytest.raises(NonFiniteError):
+                scan_grid(a, (-1e-150, 1e-150, -1e-150, 1e-150), 3, 3)
+
     def test_row_major_order(self):
         scan = scan_grid(J2, (0.0, 1.0, 0.0, 1.0), 2, 2)
         zs = [s.z for s in scan.samples]
@@ -195,6 +206,14 @@ class TestCheckCorollary:
         # ||A||_F overflows, so the disc radius and every sampled z are not finite
         with pytest.raises(NonFiniteError, match="NaN or Inf"):
             check_corollary(J2 * 1e200, n_samples=5)
+
+    def test_overflowing_s_raises_nonfinite(self):
+        # every entry of zI - A is finite, but the kernel's squared column
+        # norms overflow at some shifts, so s(z) is not finite there
+        a = generate_matrix("ginibre", 4, 1) * 3e153
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError, match=r"s\(z\) is not finite"):
+                check_corollary(a, n_samples=20)
 
 
 class TestMatrixIO:

@@ -105,6 +105,9 @@ def test_round_robin_meets_every_pair_once_per_sweep(n):
         assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
         met += zip(p.tolist(), q.tolist())
     assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    # cached per n, so no caller may write into the shared index arrays
+    assert kernels._round_robin(n) is steps
+    assert not any(a.flags.writeable for step in steps for a in step)
 
 
 class TestSvd:
@@ -182,6 +185,14 @@ class TestSvd:
             from_batch = kernels.sigma_min_batch((a * factor)[None])[0][0] / factor
         assert from_svd == pytest.approx(expected, rel=1e-14)
         assert from_batch == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("factor", [1e-150, 1e155])
+    def test_out_of_range_entries_raise_nonfinite(self, factor):
+        # the couplings go subnormal below about 1e-145 and the squared column
+        # norms overflow above about 1e154; neither may pass as a result
+        a = generate_matrix("ginibre", 4, 1) * factor
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            kernels.svd(a)
 
 
 class TestSmallestSingularValue:
@@ -267,6 +278,69 @@ class TestSigmaMinBatch:
         sigma, converged = sigma_min_batch_strict(stack)
         assert converged.tolist() == [False] * 9 + [True]
         assert sigma[-1] == 1.0
+
+    @pytest.mark.parametrize("factor", [1e-150, 1e155])
+    def test_out_of_range_entries_are_unconverged(self, factor):
+        a = generate_matrix("ginibre", 4, 1) * factor
+        with np.errstate(all="ignore"):
+            sigma, converged = kernels.sigma_min_batch(a[None])
+        assert converged.tolist() == [False]
+        assert np.isnan(sigma[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
+    def test_items_are_bit_identical_alone_and_in_svd(self, kind, n):
+        # every item of a stack takes the same arithmetic as when it runs
+        # alone, and as the A-part of svd's [A; I] columns
+        param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
+        a = generate_matrix(kind, n, 5, param)
+        stack = shifted_stack(a, np.linspace(-2, 2, 6))
+        sigma, converged = sigma_min_batch_strict(stack)
+        assert converged.all()
+        for i, m in enumerate(stack):
+            assert sigma[i] == kernels.sigma_min_batch(m[None])[0][0]
+            assert sigma[i] == kernels.svd(m).sigma[-1]
+
+    def test_mixed_stack_items_are_bit_identical_alone(self):
+        # a NaN item, a diagonal item that converges in sweep 1 and shifted
+        # ginibre items that take several sweeps
+        a = generate_matrix("ginibre", 5, 6)
+        nan_item = np.eye(5, dtype=complex)
+        nan_item[2, 3] = np.nan
+        stack = np.concatenate([
+            shifted_stack(a, np.linspace(-1.5, 1.5, 3))[:4],
+            nan_item[None],
+            np.diag(np.arange(1.0, 6.0))[None],
+            shifted_stack(a, np.linspace(-1.5, 1.5, 3))[4:],
+        ])
+        sigma, converged = kernels.sigma_min_batch(stack)
+        assert converged.tolist() == [True] * 4 + [False] + [True] * 6
+        assert np.isnan(sigma[4]) and sigma[5] == 1.0
+        for i, m in enumerate(stack):
+            alone, alone_converged = kernels.sigma_min_batch(m[None])
+            assert alone_converged[0] == converged[i]
+            assert np.array_equal(alone, sigma[i : i + 1], equal_nan=True)
+            if i != 4:
+                assert sigma[i] == kernels.svd(m).sigma[-1]
+
+    def test_exit_residual_is_the_largest_coupling_left(self, monkeypatch):
+        a = generate_matrix("ginibre", 6, 2)
+        stack = np.concatenate([
+            shifted_stack(a, np.linspace(-1, 1, 3)),
+            np.diag(np.arange(1.0, 7.0))[None],
+        ])
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        w, converged, off = kernels._jacobi(stack.transpose(0, 2, 1), 6)
+        assert converged.tolist() == [False] * 9 + [True]
+        assert off[-1] == 0.0
+        for cols, residual in zip(w[:-1], off[:-1]):
+            norms = [np.linalg.norm(c) for c in cols]
+            expected = max(
+                abs(np.vdot(cols[p], cols[q])) / (norms[p] * norms[q])
+                for p in range(6) for q in range(p + 1, 6)
+            )
+            assert residual == pytest.approx(expected, rel=1e-12)
+            assert residual > 8 * kernels.EPS * 6
 
     def test_nonfinite_item_is_unconverged(self):
         stack = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
