@@ -25,7 +25,6 @@ from .kernels import (
     householder_qr,
     rank_with_tol,
     schur,
-    smallest_singular_value,
     svd,
 )
 from .scan import check_corollary, scan_grid
@@ -64,7 +63,6 @@ __all__ = [
     "scan_grid",
     "schur",
     "shifted_smallest_singular",
-    "smallest_singular_value",
     "spectrum_of",
     "svd",
     "weyl_bounds_check",

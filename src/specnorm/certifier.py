@@ -34,14 +34,6 @@ TIE_MARGIN = 1e-3
 
 
 @dataclass
-class ProbePolicy:
-    """How probe points are placed around each distinct eigenvalue."""
-
-    angle: float = 0.0
-    tie_margin: float = TIE_MARGIN
-
-
-@dataclass
 class Probe:
     z: complex
     cluster_index: int
@@ -90,29 +82,25 @@ class CertifyConfig:
     tol_eq: float | None = None
     cluster_tol: float | None = None
     probe_angle: float = 0.0
-    tie_margin: float = TIE_MARGIN
-    tol_cert: float = TOL_CERT
 
 
-def select_probes(spectrum: Spectrum, policy: ProbePolicy | None = None) -> list[Probe]:
+def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     """One probe per distinct eigenvalue, strictly nearest to its own cluster.
 
-    z_k = lambda_k + r_k * e^{i*angle} with r_k just under half the distance
-    to the nearest other representative; a lone eigenvalue gets radius
-    max(1, scale)/2.
+    z_k = lambda_k + r_k * e^{i*angle} with r_k = (1 - TIE_MARGIN) times half
+    the distance to the nearest other representative; a lone eigenvalue gets
+    radius max(1, scale)/2.
     """
-    if policy is None:
-        policy = ProbePolicy()
     reps = spectrum.representatives
     p = len(reps)
-    direction = np.exp(1j * policy.angle)
+    direction = np.exp(1j * angle)
     probes = []
     for k in range(p):
         if p == 1:
             radius = max(1.0, spectrum.source_scale) / 2.0
         else:
             delta = min(abs(reps[j] - reps[k]) for j in range(p) if j != k)
-            radius = (1.0 - policy.tie_margin) * delta / 2.0
+            radius = (1.0 - TIE_MARGIN) * delta / 2.0
         z = complex(reps[k] + radius * direction)
         probes.append(Probe(z=z, cluster_index=k, radius=float(radius)))
     # strict-nearest sanity check; guaranteed by construction
@@ -157,9 +145,10 @@ def semisimple_check(
     Returns (is_semisimple, algebraic multiplicity m_k, geometric s_k). The
     algebraic multiplicity comes from the clustered spectrum when not given.
     """
-    a = as_square(a)
+    an = spectral.analyze(a)
+    a = an.a
     n = a.shape[0]
-    scale = max(1.0, frob(a))
+    scale = an.scale
     b = complex(lam) * np.eye(n, dtype=np.complex128) - a
     s_k = n - kernels.rank_with_tol(b, tol * scale)
     b2 = b @ b
@@ -167,7 +156,7 @@ def semisimple_check(
     thresh2 = max((tol * scale) ** 2, n * EPS * float(sigma2[0]))
     k2 = n - int(np.sum(sigma2 > thresh2))
     if multiplicity is None:
-        spect = spectral.spectrum_of(a)
+        spect = spectral.spectrum_of(an)
         _, idx = spectral.dist_to_spectrum(lam, spect)
         multiplicity = spect.clusters[idx][1]
     return (s_k == k2), int(multiplicity), int(s_k)
@@ -236,39 +225,35 @@ def recheck_certificate(a, cert: NormalityCertificate) -> tuple[float, float]:
 
 
 def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
-    """Full probe pipeline deciding normality.
+    """Full probe pipeline deciding normality of a matrix or an Analysis.
 
     Schur -> cluster -> probe placement -> per-probe equality tests; on a
     clean pass the Schur vectors are attached as the eigenbasis once they
-    meet the residual bounds ||U*U - I||_F <= tol_cert*n and
-    ||offdiag(U*AU)||_F <= tol_cert*scale. Kernel non-convergence or a
+    meet the residual bounds ||U*U - I||_F <= TOL_CERT*n and
+    ||offdiag(U*AU)||_F <= TOL_CERT*scale. Kernel non-convergence or a
     residual over its bound raises IndeterminateError rather than guessing.
     """
-    a = as_square(a)
+    an = spectral.analyze(a)
+    a = an.a
     if config is None:
         config = CertifyConfig()
     n = a.shape[0]
-    anorm = frob(a)
-    scale = max(1.0, anorm)
-    tol_eq = config.tol_eq if config.tol_eq is not None else TOL_EQ * scale
+    tol_eq = config.tol_eq if config.tol_eq is not None else TOL_EQ * an.scale
     cluster_tol = (
         config.cluster_tol
         if config.cluster_tol is not None
-        else spectral.default_cluster_tol(anorm)
+        else spectral.default_cluster_tol(an.anorm)
     )
     config_echo = {
         "tol_eq": tol_eq,
         "cluster_tol": cluster_tol,
         "probe_angle": config.probe_angle,
-        "tie_margin": config.tie_margin,
-        "tol_cert": config.tol_cert,
+        "tie_margin": TIE_MARGIN,
+        "tol_cert": TOL_CERT,
     }
     try:
-        sch = kernels.schur(a)
-        spectrum = spectral.cluster_spectrum(sch.eigenvalues, anorm, cluster_tol)
-        probes = select_probes(
-            spectrum, ProbePolicy(angle=config.probe_angle, tie_margin=config.tie_margin)
-        )
+        spectrum = spectral.spectrum_of(an, cluster_tol)
+        probes = select_probes(spectrum, config.probe_angle)
         reps = spectrum.representatives
         evidence = [
             criterion_holds(a, (p.z, reps[p.cluster_index]), tol_eq) for p in probes
@@ -286,12 +271,12 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             residuals=Residuals(commutator=commutator),
             config_echo=config_echo,
         )
-    u = sch.q
+    u = an.schur.q
     unitarity = frob(u.conj().T @ u - np.eye(n))
     diagonalization = offdiag_frobenius(u.conj().T @ a @ u)
     for name, value, bound in (
-        ("unitarity", unitarity, config.tol_cert * n),
-        ("off-diagonal", diagonalization, config.tol_cert * scale),
+        ("unitarity", unitarity, TOL_CERT * n),
+        ("off-diagonal", diagonalization, TOL_CERT * an.scale),
     ):
         if value > bound:
             raise IndeterminateError(

@@ -122,10 +122,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_corollary(args) -> int:
-    a = _load_matrix(args)
-    cert = certifier.certify(a, _certify_config(args))
+    # one Analysis, so certify and the corollary scan share one Schur form
+    an = spectral.analyze(_load_matrix(args))
+    cert = certifier.certify(an, _certify_config(args))
     tol_eq = cert.config_echo["tol_eq"]
-    report = scanmod.check_corollary(a, n_samples=args.samples, seed=_resolve_seed(args))
+    report = scanmod.check_corollary(an, n_samples=args.samples, seed=_resolve_seed(args))
     consistent = not (cert.verdict == "Normal" and report.max_abs_gap > tol_eq)
     doc = {
         "verdict": cert.verdict,

@@ -452,12 +452,6 @@ def svd(a) -> SvdResult:
     return SvdResult(u, sigma, v)
 
 
-def smallest_singular_value(a) -> float:
-    """sigma_n of a square matrix."""
-    a = as_square(a)
-    return float(svd(a).sigma[-1])
-
-
 def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     """Smallest singular value of every matrix in a (B, n, n) stack.
 

@@ -3,7 +3,8 @@
 Both entry points evaluate s(z) = sigma_n(zI - A) at all their shifts with
 spectral.shifted_sigma_min_batch, which runs the batched values-only Jacobi
 kernel kernels.sigma_min_batch, and d(z) with spectral.dist_to_spectrum_batch,
-one broadcast over the cluster representatives.
+one broadcast over the cluster representatives. Both accept a matrix or a
+spectral.Analysis, and take the spectrum from its one Schur form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import kernels, spectral
 from .errors import ConvergenceError, NonFiniteError
-from .kernels import EPS, as_square, frob
+from .kernels import EPS
 
 FLAG_OK = "ok"
 FLAG_AT_EIGENVALUE = "at_eigenvalue"
@@ -55,13 +56,14 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     flagged and their ratio pinned to 1 to avoid 0/0; a node whose Jacobi
     did not converge is marked failed and the scan continues.
     """
-    a = as_square(a)
+    an = spectral.analyze(a)
+    a = an.a
     re_min, re_max, im_min, im_max = map(float, region)
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be >= 1")
     if re_max < re_min or im_max < im_min:
         raise ValueError("region bounds must be ordered")
-    spectrum = spectral.spectrum_of(a)
+    spectrum = spectral.spectrum_of(an)
     sigma1 = float(kernels.svd(a).sigma[0])
     eig_tol = _at_eigenvalue_tol(a, sigma1)
     res = np.linspace(re_min, re_max, nx) if nx > 1 else np.array([re_min])
@@ -96,22 +98,25 @@ class CorollaryReport:
 
 
 def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
-    """Sample |d(z) - s(z)| at random z in a disc of radius 2*||A||_F.
+    """Sample |d(z) - s(z)| at random z in a disc of radius 2*max(1, ||A||_F).
 
     The disc is centered at the centroid of the distinct eigenvalues, where
-    the equality is most discriminating. All z are drawn first (r, then
-    theta, per sample) and s(z) comes from one batched values-only Jacobi
-    (kernels.sigma_min_batch). A shift whose s(z) is not finite (a NaN or
+    the equality is most discriminating; the eigenvalues are clustered at
+    the default tolerance, also when a is an Analysis whose Schur form a
+    certify with another cluster_tol has already computed. All z are drawn
+    first (r, then theta, per sample) and s(z) comes from one batched
+    values-only Jacobi (kernels.sigma_min_batch). A shift whose s(z) is not finite (a NaN or
     Inf entry in zI - A, or a kernel overflow or underflow) raises
     NonFiniteError; a shift on which the Jacobi did not converge raises
     ConvergenceError.
     """
-    a = as_square(a)
+    an = spectral.analyze(a)
+    a = an.a
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    spectrum = spectral.spectrum_of(a)
+    spectrum = spectral.spectrum_of(an)
     center = complex(np.mean(spectrum.representatives))
-    radius = 2.0 * max(frob(a), 1.0)
+    radius = 2.0 * an.scale
     rng = np.random.default_rng(seed)
     zs = np.empty(n_samples, dtype=np.complex128)
     for i in range(n_samples):

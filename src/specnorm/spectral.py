@@ -9,17 +9,49 @@ matrix is normal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .kernels import as_square, frob
 
-# round-off slack of the Weyl bounds check; scaled by max(1, ||A||_F)
+# round-off slack of the Weyl bounds check; scaled by Analysis.scale
 KAPPA_WEYL = 1e-9
 CLUSTER_TOL = 1e-7
 # complex entries per stack of shifted matrices in one kernels.sigma_min_batch call
 STACK_ENTRIES = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """A validated square matrix with what every entry point derives from it.
+
+    a is the matrix after as_square, anorm its Frobenius norm, and scale,
+    max(1, ||A||_F), the one factor the absolute tolerances scale by. schur
+    is computed on first use and kept: the spectrum, the certificate and a
+    scan of one Analysis share one Schur form, and a Schur failure raises
+    where the form is first needed. Build it with analyze.
+    """
+
+    a: np.ndarray
+    anorm: float
+
+    @property
+    def scale(self) -> float:
+        return max(1.0, self.anorm)
+
+    @cached_property
+    def schur(self) -> kernels.SchurResult:
+        return kernels.schur(self.a)
+
+
+def analyze(a) -> Analysis:
+    """The Analysis of a matrix; an Analysis is returned as it is."""
+    if isinstance(a, Analysis):
+        return a
+    a = as_square(a)
+    return Analysis(a, frob(a))
 
 
 def default_cluster_tol(scale: float) -> float:
@@ -115,10 +147,13 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
 
 
 def spectrum_of(a, cluster_tol: float | None = None) -> Spectrum:
-    """Compute and cluster the spectrum of a square matrix."""
-    a = as_square(a)
-    eigs = kernels.schur(a).eigenvalues
-    return cluster_spectrum(eigs, frob(a), cluster_tol)
+    """Cluster the Schur eigenvalues of a square matrix or an Analysis.
+
+    An Analysis keeps its Schur form, so clustering it again, at any
+    tolerance, runs no second Schur form.
+    """
+    an = analyze(a)
+    return cluster_spectrum(an.schur.eigenvalues, an.anorm, cluster_tol)
 
 
 def dist_to_spectrum(z: complex, spectrum: Spectrum) -> tuple[float, int]:
@@ -142,7 +177,7 @@ def shifted_smallest_singular(a, z: complex) -> float:
     a = as_square(a)
     n = a.shape[0]
     shifted = complex(z) * np.eye(n, dtype=np.complex128) - a
-    return kernels.smallest_singular_value(shifted)
+    return float(kernels.svd(shifted).sigma[-1])
 
 
 def shifted_sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +218,11 @@ class WeylReport:
 
 def weyl_bounds_check(m, kappa_weyl: float | None = None) -> WeylReport:
     """Check sigma_1 >= |lambda_1| and |lambda_n| >= sigma_n."""
-    m = as_square(m)
+    an = analyze(m)
     if kappa_weyl is None:
-        kappa_weyl = KAPPA_WEYL * max(1.0, frob(m))
-    sigma = kernels.svd(m).sigma
-    eigs = kernels.schur(m).eigenvalues
+        kappa_weyl = KAPPA_WEYL * an.scale
+    sigma = kernels.svd(an.a).sigma
+    eigs = an.schur.eigenvalues
     mods = np.sort(np.abs(eigs))[::-1]
     report = WeylReport(
         sigma_1=float(sigma[0]),

@@ -7,7 +7,6 @@ from specnorm import certifier, kernels
 from specnorm.certifier import (
     CertifyConfig,
     EigspaceCluster,
-    ProbePolicy,
     build_orthonormal_eigenbasis,
     certificate_to_dict,
     certify,
@@ -59,7 +58,7 @@ class TestSelectProbes:
 
     def test_angled_probes(self):
         s = cluster_spectrum([0.0, 2.0j], scale=2.0, cluster_tol=1e-8)
-        ps = select_probes(s, ProbePolicy(angle=np.pi / 2.0))
+        ps = select_probes(s, angle=np.pi / 2.0)
         reps = s.representatives
         for probe in ps:
             lam = reps[probe.cluster_index]

@@ -37,6 +37,27 @@ def unconverge_item(monkeypatch, item):
     monkeypatch.setattr(kernels, "sigma_min_batch", patched)
 
 
+def count_schur(monkeypatch):
+    """Count kernels.schur calls; the returned dict's "schur" entry grows."""
+    original = kernels.schur
+    calls = {"schur": 0}
+
+    def counted(a):
+        calls["schur"] += 1
+        return original(a)
+
+    monkeypatch.setattr(kernels, "schur", counted)
+    return calls
+
+
+COMMANDS = {
+    "certify": ["certify"],
+    "scan": ["scan", "--grid", "5,5"],
+    "weyl": ["weyl"],
+    "check-corollary": ["check-corollary", "--samples", "40"],
+}
+
+
 def reference_corollary(a, n_samples, seed):
     """The per-sample loop over spectral.gap: (center, radius, max gap, worst z)."""
     spectrum = spectral.spectrum_of(a)
@@ -344,3 +365,35 @@ class TestCli:
         main(["gen", "--kind", "ginibre", "--n", "3", "--seed", "77",
               "--output", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestOneAnalysis:
+    @pytest.mark.parametrize("kind", ["normal", "ginibre"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_runs_one_schur_form(self, command, kind, monkeypatch, capsys):
+        calls = count_schur(monkeypatch)
+        code = main(COMMANDS[command] + ["--kind", kind, "--n", "5", "--seed", "1"])
+        assert code in (0, 1)
+        assert calls["schur"] == 1
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("certify", 2), ("check-corollary", 2), ("scan", 3), ("weyl", 3)],
+    )
+    def test_schur_failure_exit_codes(self, command, expected, monkeypatch, capsys):
+        # certify reports a Schur failure as Indeterminate, also when the
+        # Schur form belongs to the Analysis that check-corollary shares
+        monkeypatch.setattr(kernels, "MAX_QR_ITERS_PER_N", 0)
+        code = main(COMMANDS[command] + ["--kind", "ginibre", "--n", "5", "--seed", "3"])
+        assert code == expected
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_analysis_is_reused(self, monkeypatch):
+        an = spectral.analyze(generate_matrix("ginibre", 5, 3))
+        assert spectral.analyze(an) is an
+        calls = count_schur(monkeypatch)
+        eigs = an.schur.eigenvalues
+        spect = spectral.spectrum_of(an)
+        assert calls["schur"] == 1
+        assert spect.all_eigenvalues.tolist() == eigs.tolist()
+        assert spect.source_scale == frob(an.a)

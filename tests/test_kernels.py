@@ -197,15 +197,15 @@ class TestSvd:
 
 class TestSmallestSingularValue:
     def test_identity(self):
-        assert kernels.smallest_singular_value(np.eye(4)) == pytest.approx(1.0)
+        assert kernels.svd(np.eye(4)).sigma[-1] == pytest.approx(1.0)
 
     def test_analytic(self):
-        assert kernels.smallest_singular_value(GOLDEN_2X2) == \
+        assert kernels.svd(GOLDEN_2X2).sigma[-1] == \
             pytest.approx(PHI_MINUS, abs=1e-12)
 
     def test_singular_row_of_zeros(self):
         a = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
-        assert kernels.smallest_singular_value(a) <= 2 * kernels.EPS * 3.0
+        assert kernels.svd(a).sigma[-1] <= 2 * kernels.EPS * 3.0
 
 
 def shifted_stack(a, xs):
