@@ -117,9 +117,11 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
 
 
 def criterion_holds(a, probe: tuple[complex, complex], tol_eq: float) -> ProbeEvidence:
-    """Test sigma_n(zI - A) = |z - lambda_k| at a single probe."""
+    """Test sigma_n(zI - A) = |z - lambda_k| at a single probe.
+
+    a is a matrix or an Analysis; an Analysis is not validated again.
+    """
     z, lam = probe
-    a = as_square(a)
     d = abs(complex(z) - complex(lam))
     s = spectral.shifted_smallest_singular(a, z)
     g = d - s
@@ -256,7 +258,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         probes = select_probes(spectrum, config.probe_angle)
         reps = spectrum.representatives
         evidence = [
-            criterion_holds(a, (p.z, reps[p.cluster_index]), tol_eq) for p in probes
+            criterion_holds(an, (p.z, reps[p.cluster_index]), tol_eq) for p in probes
         ]
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc

@@ -89,7 +89,7 @@ def cmd_scan(args) -> int:
     if args.format == "csv":
         _emit(io.scan_csv(result), args.output)
     else:
-        _emit(io.dump_json(io.scan_to_dict(result)), args.output)
+        _emit(io.scan_json(result), args.output)
     return EXIT_NORMAL
 
 

@@ -1,7 +1,10 @@
 """Matrix, scan, and certificate file formats.
 
 Matrices travel as JSON with (re, im) pairs; Python's shortest round-trip
-float formatting preserves every bit through a write/read cycle.
+float formatting preserves every bit through a write/read cycle. A grid
+scan is written as CSV (scan_csv) or JSON (scan_json); both format every
+sample directly, and scan_json's bytes are those of dump_json on the scan
+document.
 """
 
 from __future__ import annotations
@@ -81,23 +84,37 @@ def write_scan_csv(path, scan: GridScan) -> None:
         fh.write(scan_csv(scan))
 
 
-def scan_to_dict(scan: GridScan) -> dict:
-    return {
-        "region": [scan.re_min, scan.re_max, scan.im_min, scan.im_max],
-        "nx": scan.nx,
-        "ny": scan.ny,
-        "failures": scan.failures,
-        "samples": [
-            {
-                "z": [s.z.real, s.z.imag],
-                "s": s.s,
-                "d": s.d,
-                "ratio": s.ratio,
-                "flag": s.flag,
-            }
-            for s in scan.samples
-        ],
-    }
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
+    if x - x == 0.0:
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def scan_json(scan: GridScan) -> str:
+    """The scan document, byte for byte as dump_json writes it.
+
+    Keys are sorted and indented by two spaces, as json.dumps(doc,
+    sort_keys=True, indent=2) does, but each sample is one format string,
+    not a pass of the json module's pure-Python indenting encoder.
+    """
+    f = _json_float
+    flags = {flag: json.dumps(flag) for flag in {smp.flag for smp in scan.samples}}
+    samples = ",\n".join(
+        f'    {{\n      "d": {f(smp.d)},\n      "flag": {flags[smp.flag]},\n'
+        f'      "ratio": {f(smp.ratio)},\n      "s": {f(smp.s)},\n'
+        f'      "z": [\n        {f(smp.z.real)},\n        {f(smp.z.imag)}\n      ]\n    }}'
+        for smp in scan.samples
+    )
+    samples = f"[\n{samples}\n  ]" if samples else "[]"
+    region = ",\n    ".join(f(x) for x in (scan.re_min, scan.re_max, scan.im_min, scan.im_max))
+    return (
+        f'{{\n  "failures": {scan.failures:d},\n  "nx": {scan.nx:d},\n'
+        f'  "ny": {scan.ny:d},\n  "region": [\n    {region}\n  ],\n'
+        f'  "samples": {samples}\n}}\n'
+    )
 
 
 def write_certificate(path, cert_doc: dict) -> None:

@@ -4,7 +4,8 @@ Both entry points evaluate s(z) = sigma_n(zI - A) at all their shifts with
 spectral.shifted_sigma_min_batch, which runs the batched values-only Jacobi
 kernel kernels.sigma_min_batch, and d(z) with spectral.dist_to_spectrum_batch,
 one broadcast over the cluster representatives. Both accept a matrix or a
-spectral.Analysis, and take the spectrum from its one Schur form.
+spectral.Analysis, and take the spectrum from its one Schur form and their
+scale from its ||A||_F; neither factors the matrix any other way.
 """
 
 from __future__ import annotations
@@ -43,18 +44,15 @@ class GridScan:
     failures: int
 
 
-def _at_eigenvalue_tol(a: np.ndarray, sigma1: float) -> float:
-    return a.shape[0] * EPS * max(sigma1, 1.0)
-
-
 def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) -> GridScan:
     """Sample s(z), d(z) and their ratio on a closed rectangular grid.
 
     Row-major ordering: the imaginary axis is the slow index. Every node's
     s(z) comes from one batched values-only Jacobi (kernels.sigma_min_batch)
-    over the stack of shifted matrices. Nodes too close to an eigenvalue are
-    flagged and their ratio pinned to 1 to avoid 0/0; a node whose Jacobi
-    did not converge is marked failed and the scan continues.
+    over the stack of shifted matrices. Nodes within n*EPS*max(1, ||A||_F)
+    of an eigenvalue are flagged and their ratio pinned to 1 to avoid 0/0; a
+    node whose Jacobi did not converge, or whose s(z) is not finite, is
+    marked failed and the scan continues.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -64,8 +62,7 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     if re_max < re_min or im_max < im_min:
         raise ValueError("region bounds must be ordered")
     spectrum = spectral.spectrum_of(an)
-    sigma1 = float(kernels.svd(a).sigma[0])
-    eig_tol = _at_eigenvalue_tol(a, sigma1)
+    eig_tol = a.shape[0] * EPS * an.scale
     res = np.linspace(re_min, re_max, nx) if nx > 1 else np.array([re_min])
     ims = np.linspace(im_min, im_max, ny) if ny > 1 else np.array([im_min])
     grid = np.empty((ny, nx), dtype=np.complex128)
@@ -103,9 +100,11 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     The disc is centered at the centroid of the distinct eigenvalues, where
     the equality is most discriminating; the eigenvalues are clustered at
     the default tolerance, also when a is an Analysis whose Schur form a
-    certify with another cluster_tol has already computed. All z are drawn
-    first (r, then theta, per sample) and s(z) comes from one batched
-    values-only Jacobi (kernels.sigma_min_batch). A shift whose s(z) is not finite (a NaN or
+    certify with another cluster_tol has already computed. All z come from
+    one draw of 2*n_samples uniforms u, read in pairs: sample i lies at
+    radius*sqrt(u[2i]) and angle 2*pi*u[2i+1], the values that drawing r,
+    then theta, per sample gives. s(z) comes from one batched values-only
+    Jacobi (kernels.sigma_min_batch). A shift whose s(z) is not finite (a NaN or
     Inf entry in zI - A, or a kernel overflow or underflow) raises
     NonFiniteError; a shift on which the Jacobi did not converge raises
     ConvergenceError.
@@ -117,12 +116,8 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     spectrum = spectral.spectrum_of(an)
     center = complex(np.mean(spectrum.representatives))
     radius = 2.0 * an.scale
-    rng = np.random.default_rng(seed)
-    zs = np.empty(n_samples, dtype=np.complex128)
-    for i in range(n_samples):
-        r = radius * np.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        zs[i] = center + r * np.exp(1j * theta)
+    u = np.random.default_rng(seed).random(2 * n_samples)
+    zs = center + radius * np.sqrt(u[0::2]) * np.exp(1j * (2.0 * np.pi * u[1::2]))
     ss, converged = spectral.shifted_sigma_min_batch(a, zs)
     if np.isnan(ss).any():
         raise NonFiniteError(

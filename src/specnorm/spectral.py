@@ -173,8 +173,8 @@ def dist_to_spectrum_batch(zs: np.ndarray, spectrum: Spectrum) -> np.ndarray:
 
 
 def shifted_smallest_singular(a, z: complex) -> float:
-    """s(z) = sigma_n(zI - A), formed explicitly."""
-    a = as_square(a)
+    """s(z) = sigma_n(zI - A) of a matrix or an Analysis, formed explicitly."""
+    a = analyze(a).a
     n = a.shape[0]
     shifted = complex(z) * np.eye(n, dtype=np.complex128) - a
     return float(kernels.svd(shifted).sigma[-1])

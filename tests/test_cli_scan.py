@@ -17,6 +17,8 @@ from specnorm.scan import (
     FLAG_AT_EIGENVALUE,
     FLAG_FAILED,
     FLAG_OK,
+    GridSample,
+    GridScan,
     check_corollary,
     scan_grid,
 )
@@ -170,16 +172,29 @@ class TestScanGrid:
         others = scan.samples[:4] + scan.samples[5:]
         assert all(s.flag == FLAG_OK for s in others)
 
-    def test_out_of_range_matrix_raises_instead_of_nan_nodes(self):
+    def test_out_of_range_matrix_fails_every_node_instead_of_nan_ok(self):
         # entries of 1e-150 drive the Jacobi couplings subnormal: every s(z)
-        # is NaN, which must not come back as nine `ok` nodes
+        # is NaN, which must come back as nine `failed` nodes, not `ok` ones
         a = generate_matrix("normal", 4, 1) * 1e-150
         zs = np.array([x + 1j * y for y in (-1, 0, 1) for x in (-1, 0, 1)]) * 1e-150
         with np.errstate(all="ignore"):
             s, converged = spectral.shifted_sigma_min_batch(a, zs)
             assert not converged.any() and np.isnan(s).all()
-            with pytest.raises(NonFiniteError):
-                scan_grid(a, (-1e-150, 1e-150, -1e-150, 1e-150), 3, 3)
+            scan = scan_grid(a, (-1e-150, 1e-150, -1e-150, 1e-150), 3, 3)
+        assert scan.failures == 9
+        assert not any(smp.flag == FLAG_OK for smp in scan.samples)
+
+    def test_at_eigenvalue_bound_scales_with_frobenius_norm(self):
+        # ||A||_F = sqrt(300) exceeds sigma_1 = 10, so a node 1.2e-14 from the
+        # eigenvalue 0 lies between n*EPS*sigma_1 and n*EPS*||A||_F
+        a = np.diag([0.0, 10.0, 10.0j, -10.0])
+        n = a.shape[0]
+        sigma1 = float(kernels.svd(a).sigma[0])
+        scan = scan_grid(a, (1.2e-14, 1.2e-14, 0.0, 0.0), 1, 1)
+        node = scan.samples[0]
+        assert n * kernels.EPS * sigma1 < node.d <= n * kernels.EPS * frob(a)
+        assert node.flag == FLAG_AT_EIGENVALUE
+        assert node.ratio == 1.0
 
     def test_row_major_order(self):
         scan = scan_grid(J2, (0.0, 1.0, 0.0, 1.0), 2, 2)
@@ -266,6 +281,70 @@ class TestMatrixIO:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "re,im,s,d,ratio,flag"
         assert len(lines) == 5
+
+
+def reference_scan_json(scan: GridScan) -> str:
+    """The scan document through the json module, as the CLI once wrote it."""
+    doc = {
+        "region": [scan.re_min, scan.re_max, scan.im_min, scan.im_max],
+        "nx": scan.nx,
+        "ny": scan.ny,
+        "failures": scan.failures,
+        "samples": [
+            {"z": [s.z.real, s.z.imag], "s": s.s, "d": s.d, "ratio": s.ratio, "flag": s.flag}
+            for s in scan.samples
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestScanJson:
+    def test_full_grid(self):
+        scan = scan_grid(generate_matrix("ginibre", 4, 3), (-2.0, 2.0, -2.0, 2.0), 21, 21)
+        assert snio.scan_json(scan) == reference_scan_json(scan)
+
+    def test_one_by_one_grid(self):
+        scan = scan_grid(J2, (1.0, 1.0, 0.0, 0.0), 1, 1)
+        assert snio.scan_json(scan) == reference_scan_json(scan)
+
+    def test_at_eigenvalue_nodes(self):
+        scan = scan_grid(J2, (-1.0, 1.0, -1.0, 1.0), 21, 21)
+        assert any(s.flag == FLAG_AT_EIGENVALUE for s in scan.samples)
+        assert snio.scan_json(scan) == reference_scan_json(scan)
+
+    def test_failed_nan_node(self, monkeypatch):
+        unconverge_item(monkeypatch, 4)
+        scan = scan_grid(generate_matrix("ginibre", 4, 2), (-3.0, 3.0, -3.0, 3.0), 3, 3)
+        assert scan.samples[4].flag == FLAG_FAILED
+        text = snio.scan_json(scan)
+        assert '"s": NaN' in text
+        assert text == reference_scan_json(scan)
+
+    def test_infinities(self):
+        inf = float("inf")
+        samples = [
+            GridSample(complex(inf, -inf), inf, -inf, float("nan"), FLAG_FAILED),
+            GridSample(complex(-0.0, 1e-300), 0.0, 5e-324, 1.0, FLAG_AT_EIGENVALUE),
+        ]
+        scan = GridScan(-inf, inf, -1.5, 1e300, 2, 1, samples, 1)
+        text = snio.scan_json(scan)
+        assert "-Infinity" in text
+        assert text == reference_scan_json(scan)
+
+    def test_no_samples(self):
+        scan = GridScan(0.0, 0.0, 0.0, 0.0, 0, 0, [], 0)
+        assert snio.scan_json(scan) == reference_scan_json(scan)
+
+    def test_cli_json_output(self, tmp_path):
+        mpath = tmp_path / "m.json"
+        snio.write_matrix(mpath, generate_matrix("normal", 3, 5))
+        spath = tmp_path / "scan.json"
+        assert main([
+            "scan", "--input", str(mpath), "--region=-1,1,-1,1", "--grid", "4,3",
+            "--format", "json", "--output", str(spath),
+        ]) == 0
+        scan = scan_grid(snio.read_matrix(mpath), (-1.0, 1.0, -1.0, 1.0), 4, 3)
+        assert spath.read_text() == reference_scan_json(scan)
 
 
 class TestCli:
