@@ -8,6 +8,7 @@ Diagnostics go to stderr; machine-readable output to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -145,7 +146,9 @@ def cmd_check_corollary(args) -> int:
     return EXIT_NORMAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # cached: parsing leaves the parser unchanged, so every `main` call shares one
     parser = argparse.ArgumentParser(
         prog="specnorm",
         description="Decide matrix normality via the spectral-distance criterion",

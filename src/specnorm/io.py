@@ -33,22 +33,36 @@ def matrix_to_dict(a, meta: dict | None = None) -> dict:
     return doc
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def matrix_from_dict(doc: dict) -> np.ndarray:
     try:
         n = int(doc["n"])
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"matrix document missing n/entries: {exc}") from exc
+    if not isinstance(entries, (list, tuple)):
+        raise MatrixFormatError("entries: expected a list of rows")
     if len(entries) != n:
         raise MatrixFormatError(f"expected {n} rows, found {len(entries)}")
     a = np.zeros((n, n), dtype=np.complex128)
     for i, row in enumerate(entries):
+        if not isinstance(row, (list, tuple)):
+            raise MatrixFormatError(f"row {i}: expected a list of entries")
         if len(row) != n:
             raise MatrixFormatError(f"row {i}: expected {n} entries, found {len(row)}")
         for j, pair in enumerate(row):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise MatrixFormatError(f"row {i}, col {j}: expected a [re, im] pair")
-            a[i, j] = complex(float(pair[0]), float(pair[1]))
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 \
+                    or not all(_is_real(x) for x in pair):
+                raise MatrixFormatError(
+                    f"row {i}, col {j}: expected a [re, im] pair of real numbers"
+                )
+            try:
+                a[i, j] = complex(float(pair[0]), float(pair[1]))
+            except OverflowError as exc:
+                raise MatrixFormatError(f"row {i}, col {j}: {exc}") from exc
     return as_square(a)
 
 

@@ -1,8 +1,9 @@
 """Dense complex linear-algebra primitives.
 
 Self-contained factorizations for desk-scale matrices: Householder QR,
-Hessenberg reduction plus shifted-QR Schur form, one-sided Jacobi SVD,
-rank at tolerance, and modified Gram-Schmidt.
+Hessenberg reduction plus shifted-QR Schur form, one-sided Jacobi singular
+values (sigma and V of a square matrix, no U), rank at tolerance, and
+modified Gram-Schmidt.
 Every singular value comes from one one-sided Jacobi core, `_jacobi`, over a
 stack of column sets. Its sweeps follow a round-robin ordering (Brent & Luk
 1985): the n(n-1)/2 column pairs fall into n-1 steps (n for odd n) of
@@ -15,7 +16,9 @@ rotation's only by unit phases, which `svd`'s phase pinning on V absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
 columns.
 `svd` runs the core on the single item [A; I], so V rides along under A;
-`sigma_min_batch` runs it on a (B, n, n) stack for values only, which is how
+it returns sigma and V of a square matrix and no U, since every caller reads
+sigma and only `certifier.eigenspace_basis` also reads V. `sigma_min_batch`
+runs it on a (B, n, n) stack for values only, which is how
 `scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of one
 matrix (through `spectral.shifted_sigma_min_batch`), while the certifier's
 probes call `svd` one matrix at a time. A singular value that comes out
@@ -259,26 +262,14 @@ def schur(a) -> SchurResult:
 
 @dataclass
 class SvdResult:
-    """Full SVD A = U diag(sigma) V* with sigma sorted non-increasing."""
+    """Singular values and right singular vectors of a square matrix A.
 
-    u: np.ndarray
+    sigma is sorted non-increasing and V is unitary; column i of A V is
+    orthogonal to the others and has norm sigma[i].
+    """
+
     sigma: np.ndarray
     v: np.ndarray
-
-
-def _complete_orthonormal(cols: list[np.ndarray], m: int) -> np.ndarray:
-    """Extend an orthonormal column list to a full m x m unitary.
-
-    The completion columns come from the trailing Householder-QR factor of
-    the given columns, so the given columns are kept verbatim.
-    """
-    r = len(cols)
-    if r == 0:
-        return np.eye(m, dtype=np.complex128)
-    if r == m:
-        return np.column_stack(cols)
-    q, _ = householder_qr(np.column_stack(cols))
-    return np.column_stack(cols + [q[:, j] for j in range(r, m)])
 
 
 @lru_cache(maxsize=None)
@@ -394,21 +385,20 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def svd(a) -> SvdResult:
-    """One-sided Jacobi SVD of a dense complex matrix.
+    """Singular values sigma and right singular vectors V of a square matrix.
 
     `_jacobi` orthogonalizes the columns of A with V's rows riding along
-    under them; the normalized columns form U. Accurate for small singular
-    values, which is what the shifted-matrix consumers need. Raises
-    ConvergenceError when the sweep budget runs out (residual: the largest
-    coupling left at exit) and NonFiniteError when a singular value is not
-    finite, which happens for entries outside about 1e-145..1e154.
+    under them; sigma is the column norms, sorted non-increasing. Each
+    column of V has its phase pinned by `phase_normalize`. Accurate for
+    small singular values, which is what the shifted-matrix consumers need.
+    Raises DimensionError on a non-square input, ConvergenceError when the
+    sweep budget runs out (residual: the largest coupling left at exit) and
+    NonFiniteError when a singular value is not finite, which happens for
+    entries outside about 1e-145..1e154.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        res = svd(a.conj().T)
-        return SvdResult(res.v, res.sigma, res.u)
-    x, converged, off = _jacobi(np.vstack([a, np.eye(n)]).T[None], m)
+    a = as_square(a)
+    n = a.shape[0]
+    x, converged, off = _jacobi(np.vstack([a, np.eye(n)]).T[None], n)
     if not converged[0]:
         raise ConvergenceError(
             f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
@@ -416,8 +406,7 @@ def svd(a) -> SvdResult:
             iterations=MAX_JACOBI_SWEEPS,
             residual=float(off[0]),
         )
-    w = x[0, :, :m].T
-    v = x[0, :, m:].T
+    w = x[0, :, :n].T
     norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
     if not np.isfinite(norms).all():
         raise NonFiniteError(
@@ -425,38 +414,15 @@ def svd(a) -> SvdResult:
             "(entries outside about 1e-145..1e154)"
         )
     order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    v = v[:, order]
-    w = w[:, order]
-    cutoff = m * EPS * (sigma[0] if sigma.size else 0.0)
-    ucols = []
-    for i in range(n):
-        if sigma[i] > cutoff and sigma[i] > 0.0:
-            ucols.append(w[:, i] / sigma[i])
-        else:
-            break
-    rank = len(ucols)
-    # one free phase per singular pair: pin it on the V column
-    for i in range(rank):
-        pivot_idx = int(np.argmax(np.abs(v[:, i]) > 1e-12))
-        pivot = v[pivot_idx, i]
-        if abs(pivot) > 0.0:
-            ph = abs(pivot) / pivot
-            v[:, i] *= ph
-            ucols[i] = ucols[i] * ph
-    for i in range(rank, n):
-        v[:, i] = phase_normalize(v[:, i])
-    u = _complete_orthonormal(ucols, m)
-    for i in range(rank, m):
-        u[:, i] = phase_normalize(u[:, i])
-    return SvdResult(u, sigma, v)
+    v = np.column_stack([phase_normalize(x[0, i, n:]) for i in order])
+    return SvdResult(norms[order], v)
 
 
 def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     """Smallest singular value of every matrix in a (B, n, n) stack.
 
-    `_jacobi` over the stack's columns, values only: no U, no V, no
-    completion; sigma_min is the smallest column norm. Items with a NaN or
+    `_jacobi` over the stack's columns, values only (no V); sigma_min is
+    the smallest column norm. Items with a NaN or
     Inf entry or a non-finite sigma_min (entries outside about
     1e-145..1e154), or that still rotate in sweep MAX_JACOBI_SWEEPS, are
     reported unconverged; the former two with sigma_min NaN.
@@ -480,7 +446,7 @@ def rank_with_tol(a, tol: float) -> int:
     """Number of singular values strictly above tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    sigma = svd(as_matrix(a)).sigma
+    sigma = svd(a).sigma
     return int(np.sum(sigma > tol))
 
 

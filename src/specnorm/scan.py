@@ -59,6 +59,8 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     re_min, re_max, im_min, im_max = map(float, region)
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be >= 1")
+    if not np.isfinite([re_min, re_max, im_min, im_max]).all():
+        raise ValueError("region bounds must be finite")
     if re_max < re_min or im_max < im_min:
         raise ValueError("region bounds must be ordered")
     spectrum = spectral.spectrum_of(an)

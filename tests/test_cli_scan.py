@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from specnorm import io as snio
 from specnorm import kernels, spectral
 from specnorm.certifier import commutator_normality_oracle
-from specnorm.cli import main
+from specnorm.cli import build_parser, main
 from specnorm.errors import ConvergenceError, NonFiniteError
 from specnorm.generators import KINDS, generate_matrix
 from specnorm.kernels import frob
@@ -378,6 +379,42 @@ class TestCli:
     def test_usage_error_exit_three(self, capsys):
         assert main(["certify"]) == 3
         assert main(["certify", "--input", "/nonexistent/m.json"]) == 3
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "entries": 5},
+        {"n": 1, "entries": [5]},
+        {"n": 1, "entries": [[[None, 0.0]]]},
+        {"n": 1, "entries": [[["x", 0.0]]]},
+    ])
+    def test_malformed_matrix_file_exit_three(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["certify", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        # a format message that names the row, not a bare conversion error
+        assert err.startswith("error: ") and "row" in err
+
+    @pytest.mark.parametrize("region", ["nan,1,-1,1", "-inf,inf,-1,1"])
+    def test_nonfinite_region_exit_three(self, region, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scan", "--kind", "normal", "--n", "3", f"--region={region}"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: region bounds must be finite\n"
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        argv = ["scan", "--kind", "ginibre", "--n", "3", "--seed", "1", "--grid", "3,3"]
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        alone = capsys.readouterr().out
+        assert main(["scan", "--grid"]) == 3
+        assert main(["certify", "--no-such-flag"]) == 3
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == alone
+        assert build_parser() is build_parser()
 
     def test_gen_scan_weyl_pipeline(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"
