@@ -73,6 +73,9 @@ class NormalityCertificate:
     eigenbasis: np.ndarray | None
     residuals: Residuals
     config_echo: dict
+    # Nonnormal only: a unit minimizing right singular vector x of zI - A at
+    # the witness probe z, so A + (zI - A)x x* has z as an eigenvalue
+    witness_vector: np.ndarray | None = None
 
 
 @dataclass
@@ -116,19 +119,26 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     return probes
 
 
+def probe_evidence(z: complex, lam: complex, s: float, tol_eq: float) -> ProbeEvidence:
+    """Evidence at probe z of eigenvalue lambda, given s = sigma_n(zI - A).
+
+    d = |z - lambda|, and the probe passes when d - s <= tol_eq.
+    """
+    d = abs(complex(z) - complex(lam))
+    g = d - s
+    return ProbeEvidence(
+        z=complex(z), lam=complex(lam), d=float(d), s=float(s),
+        gap=float(g), passed=bool(g <= tol_eq),
+    )
+
+
 def criterion_holds(a, probe: tuple[complex, complex], tol_eq: float) -> ProbeEvidence:
     """Test sigma_n(zI - A) = |z - lambda_k| at a single probe.
 
     a is a matrix or an Analysis; an Analysis is not validated again.
     """
     z, lam = probe
-    d = abs(complex(z) - complex(lam))
-    s = spectral.shifted_smallest_singular(a, z)
-    g = d - s
-    return ProbeEvidence(
-        z=complex(z), lam=complex(lam), d=float(d), s=float(s),
-        gap=float(g), passed=bool(g <= tol_eq),
-    )
+    return probe_evidence(z, lam, spectral.shifted_smallest_singular(a, z), tol_eq)
 
 
 def left_eigvec_check(a, lam: complex, x, tol: float) -> bool:
@@ -226,14 +236,33 @@ def recheck_certificate(a, cert: NormalityCertificate) -> tuple[float, float]:
     return float(unit), float(diag)
 
 
+def recheck_witness(a, cert: NormalityCertificate) -> float:
+    """||(zI - A)x||_2 for a Nonnormal certificate's witness probe z and vector x.
+
+    One matrix-vector product, independent of the SVD that chose x. With
+    ||x|| = 1, E = (zI - A)x x* puts z in the spectrum of A + E and
+    ||E||_2 is this value, which is s(z) < d(z) up to round-off.
+    """
+    a = as_square(a)
+    x = cert.witness_vector
+    if x is None or cert.witness is None:
+        raise ValueError("certificate carries no witness vector")
+    return float(np.linalg.norm(cert.witness.z * x - a @ x))
+
+
 def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     """Full probe pipeline deciding normality of a matrix or an Analysis.
 
-    Schur -> cluster -> probe placement -> per-probe equality tests; on a
-    clean pass the Schur vectors are attached as the eigenbasis once they
-    meet the residual bounds ||U*U - I||_F <= TOL_CERT*n and
-    ||offdiag(U*AU)||_F <= TOL_CERT*scale. Kernel non-convergence or a
-    residual over its bound raises IndeterminateError rather than guessing.
+    Schur -> cluster -> probe placement -> the equality test at every
+    probe, from one spectral.shifted_smallest_pair call over all probe
+    shifts (one stacked kernels.svd while the stack fits in
+    spectral.STACK_ENTRIES). When probes fail, the first is the witness and
+    its minimizing right singular vector, from the same stack, is the
+    witness_vector. On a clean pass the Schur vectors are attached as the
+    eigenbasis once they meet the residual bounds
+    ||U*U - I||_F <= TOL_CERT*n and ||offdiag(U*AU)||_F <= TOL_CERT*scale.
+    Kernel non-convergence or a residual over its bound raises
+    IndeterminateError rather than guessing.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -256,22 +285,26 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     try:
         spectrum = spectral.spectrum_of(an, cluster_tol)
         probes = select_probes(spectrum, config.probe_angle)
-        reps = spectrum.representatives
-        evidence = [
-            criterion_holds(an, (p.z, reps[p.cluster_index]), tol_eq) for p in probes
-        ]
+        s, x = spectral.shifted_smallest_pair(an, np.array([p.z for p in probes]))
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
+    reps = spectrum.representatives
+    evidence = [
+        probe_evidence(p.z, reps[p.cluster_index], s_k, tol_eq)
+        for p, s_k in zip(probes, s)
+    ]
     commutator = commutator_normality_oracle(a)
-    failing = [e for e in evidence if not e.passed]
+    failing = [k for k, e in enumerate(evidence) if not e.passed]
     if failing:
+        k = failing[0]
         return NormalityCertificate(
             verdict="Nonnormal",
             evidence=evidence,
-            witness=failing[0],
+            witness=evidence[k],
             eigenbasis=None,
             residuals=Residuals(commutator=commutator),
             config_echo=config_echo,
+            witness_vector=x[k],
         )
     u = an.schur.q
     unitarity = frob(u.conj().T @ u - np.eye(n))
@@ -337,4 +370,6 @@ def certificate_to_dict(cert: NormalityCertificate, a) -> dict:
         doc["eigenbasis"] = [
             [[z.real, z.imag] for z in row] for row in cert.eigenbasis
         ]
+    if cert.verdict == "Nonnormal" and cert.witness_vector is not None:
+        doc["witness_vector"] = [[z.real, z.imag] for z in cert.witness_vector]
     return doc

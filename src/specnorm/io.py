@@ -39,10 +39,12 @@ def _is_real(x) -> bool:
 
 def matrix_from_dict(doc: dict) -> np.ndarray:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MatrixFormatError(f"matrix document missing n/entries: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MatrixFormatError(f"n: expected the row count as a JSON integer, got {n!r}")
     if not isinstance(entries, (list, tuple)):
         raise MatrixFormatError("entries: expected a list of rows")
     if len(entries) != n:

@@ -15,13 +15,15 @@ complex coefficient of the rotation (the columns differ from a real-sine
 rotation's only by unit phases, which `svd`'s phase pinning on V absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
 columns.
-`svd` runs the core on the single item [A; I], so V rides along under A;
-it returns sigma and V of a square matrix and no U, since every caller reads
-sigma and only `certifier.eigenspace_basis` also reads V. `sigma_min_batch`
-runs it on a (B, n, n) stack for values only, which is how
-`scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of one
-matrix (through `spectral.shifted_sigma_min_batch`), while the certifier's
-probes call `svd` one matrix at a time. A singular value that comes out
+`svd` runs the core on [A; I] for a square matrix, or on every [A_i; I] of
+a (B, n, n) stack in one call, so V rides along under A; it returns sigma
+and V and no U, since every caller reads sigma and only V's readers
+(`certifier.eigenspace_basis` and the certifier's witness vector) also read
+V. The certifier evaluates all its probes as one such stack (through
+`spectral.shifted_smallest_pair`). `sigma_min_batch` runs the core on a
+(B, n, n) stack for values only, which is how `scan.scan_grid` and
+`scan.check_corollary` evaluate all their shifts of one matrix (through
+`spectral.shifted_sigma_min_batch`). A singular value that comes out
 non-finite (entries outside about 1e-145..1e154) is never reported as a
 result: `svd` raises NonFiniteError and `sigma_min_batch` flags the item
 unconverged with NaN.
@@ -305,9 +307,11 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
     entries of the columns; the remaining entries ride along (in `svd` they
-    are the rows of V). Each sweep runs the steps of `_round_robin(n)`, and
-    each step rotates all its disjoint pairs in all live items at once, from
-    fresh inner products (`np.vecdot`, which conjugates its first argument).
+    are the rows of V). A C-contiguous x is rotated in place (`svd` passes
+    its own fresh array); any other x is rotated in a C-contiguous copy.
+    Each sweep runs the steps of `_round_robin(n)`, and each step rotates
+    all its disjoint pairs in all live items at once, from fresh inner
+    products (`np.vecdot`, which conjugates its first argument).
     A pair rotates when its coupling |apq| exceeds 8*EPS*rows times
     sqrt(app)*sqrt(aqq); the square roots are taken apart because app*aqq
     overflows for entries above about 1e77 and underflows below about 1e-81.
@@ -329,7 +333,7 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     returned columns. Entries outside about 1e-145..1e154 give non-finite
     columns; the callers reject those.
     """
-    w = x.copy()
+    w = np.ascontiguousarray(x)
     b, n, _ = w.shape
     ctol = 8.0 * EPS * rows
     steps = _round_robin(n)
@@ -369,9 +373,10 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             work[:, p] = cs * wp - s.conj() * wq
             work[:, q] = s * wp + cs * wq
         done = ~moved
-        converged[live[done]] = True
-        w[live[done]] = work[done]
-        live, work = live[~done], work[~done]
+        if done.any():
+            converged[live[done]] = True
+            w[live[done]] = work[done]
+            live, work = live[~done], work[~done]
     if live.size:
         w[live] = work
         h = work[..., :rows]
@@ -384,38 +389,77 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return w, converged, off
 
 
-def svd(a) -> SvdResult:
-    """Singular values sigma and right singular vectors V of a square matrix.
+def as_square_stack(a) -> np.ndarray:
+    """Validate a square matrix or a (B, n, n) stack of them as complex128.
 
-    `_jacobi` orthogonalizes the columns of A with V's rows riding along
-    under them; sigma is the column norms, sorted non-increasing. Each
-    column of V has its phase pinned by `phase_normalize`. Accurate for
-    small singular values, which is what the shifted-matrix consumers need.
-    Raises DimensionError on a non-square input, ConvergenceError when the
-    sweep budget runs out (residual: the largest coupling left at exit) and
+    A matrix goes through as_square; a stack gets the same rules for every
+    item (B >= 1, square, n >= 1, finite entries).
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim == 2:
+        return as_square(m)
+    if m.ndim != 3 or m.shape[0] < 1 or m.shape[1] < 1 or m.shape[1] != m.shape[2]:
+        raise DimensionError(
+            f"expected a square matrix or a (B, n, n) stack with B, n >= 1, got {m.shape}"
+        )
+    if not np.isfinite(m).all():
+        raise NonFiniteError("stack contains NaN or Inf entries")
+    return m
+
+
+def svd(a) -> SvdResult:
+    """Singular values and right singular vectors of a square matrix or a stack.
+
+    a is an (n, n) matrix or a (B, n, n) stack, as for numpy.linalg.svd; the
+    result is sigma (n,) and V (n, n), or sigma (B, n) and V (B, n, n).
+    One `_jacobi` call orthogonalizes the columns of every item's [A_i; I],
+    so V's rows ride along under A_i; sigma is the column norms, sorted
+    non-increasing. Each column of V has its phase pinned as
+    `phase_normalize` pins a vector (its first entry above 1e-12 times its
+    largest made real >= 0), for all items at once. Accurate for small
+    singular values, which is what the shifted-matrix consumers need.
+    Raises DimensionError on a non-square input and NonFiniteError on a NaN
+    or Inf entry. Otherwise the first item, in stack order, that fails
+    raises what svd of that item alone raises: ConvergenceError when the
+    sweep budget runs out (residual: the largest coupling left at exit) or
     NonFiniteError when a singular value is not finite, which happens for
     entries outside about 1e-145..1e154.
     """
-    a = as_square(a)
-    n = a.shape[0]
-    x, converged, off = _jacobi(np.vstack([a, np.eye(n)]).T[None], n)
-    if not converged[0]:
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
-            f"(off-diagonal ratio {off[0]:.3e})",
-            iterations=MAX_JACOBI_SWEEPS,
-            residual=float(off[0]),
-        )
-    w = x[0, :, :n].T
-    norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
-    if not np.isfinite(norms).all():
+    a = as_square_stack(a)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    # the columns of every [A_i; I], laid out as _jacobi rotates them
+    x = np.empty((len(stack), n, 2 * n), dtype=np.complex128)
+    x[..., :n] = stack.transpose(0, 2, 1)
+    x[..., n:] = np.eye(n)
+    x, converged, off = _jacobi(x, n)
+    norms = np.sqrt(np.sum(np.abs(x[..., :n]) ** 2, axis=2))
+    failed = ~converged | ~np.isfinite(norms).all(axis=1)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not converged[i]:
+            raise ConvergenceError(
+                f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
+                f"(off-diagonal ratio {off[i]:.3e})",
+                iterations=MAX_JACOBI_SWEEPS,
+                residual=float(off[i]),
+            )
         raise NonFiniteError(
             "Jacobi SVD produced a non-finite singular value "
             "(entries outside about 1e-145..1e154)"
         )
-    order = np.argsort(-norms, kind="stable")
-    v = np.column_stack([phase_normalize(x[0, i, n:]) for i in order])
-    return SvdResult(norms[order], v)
+    order = np.argsort(-norms, axis=1, kind="stable")
+    # cols[b, i] is column i of item b's V
+    cols = np.take_along_axis(x[..., n:], order[..., None], axis=1)
+    mag = np.abs(cols)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=2, keepdims=True), axis=2)
+    pivot = np.take_along_axis(cols, first[..., None], axis=2)
+    apivot = np.abs(pivot)
+    phase = np.divide(apivot, pivot, out=np.ones_like(pivot), where=apivot > 0.0)
+    return SvdResult(
+        np.take_along_axis(norms, order, axis=1).reshape(a.shape[:-1]),
+        (cols * phase).transpose(0, 2, 1).reshape(a.shape),
+    )
 
 
 def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:

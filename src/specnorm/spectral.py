@@ -19,7 +19,8 @@ from .kernels import as_square, frob
 # round-off slack of the Weyl bounds check; scaled by Analysis.scale
 KAPPA_WEYL = 1e-9
 CLUSTER_TOL = 1e-7
-# complex entries per stack of shifted matrices in one kernels.sigma_min_batch call
+# complex entries per stack of shifted matrices in one kernels.sigma_min_batch
+# or kernels.svd call
 STACK_ENTRIES = 1 << 16
 
 
@@ -172,12 +173,38 @@ def dist_to_spectrum_batch(zs: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return np.abs(spectrum.representatives[None, :] - zs[:, None]).min(axis=1)
 
 
-def shifted_smallest_singular(a, z: complex) -> float:
-    """s(z) = sigma_n(zI - A) of a matrix or an Analysis, formed explicitly."""
+def shifted_smallest_pair(a, z) -> tuple:
+    """s(z) = sigma_n(zI - A) and a unit right singular vector x(z) for it.
+
+    z is a scalar, giving s as a float and x of shape (n,), or a 1-D array
+    of p shifts, giving s of shape (p,) and x of shape (p, n); a is a matrix
+    or an Analysis. ||(zI - A)x|| = s(z), so x is a minimizing direction.
+    The shifted matrices z[..., None, None]*I - A go to kernels.svd in
+    stacks of at most about STACK_ENTRIES complex entries of their
+    [zI - A; I] columns, so memory stays bounded at large n. The first
+    failing z, in order, raises what kernels.svd raises for it.
+    """
     a = analyze(a).a
     n = a.shape[0]
-    shifted = complex(z) * np.eye(n, dtype=np.complex128) - a
-    return float(kernels.svd(shifted).sigma[-1])
+    eye = np.eye(n, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    zs = z.reshape(-1)
+    s = np.empty(zs.size)
+    x = np.empty((zs.size, n), dtype=np.complex128)
+    step = max(1, STACK_ENTRIES // (2 * n * n))
+    for lo in range(0, zs.size, step):
+        hi = lo + step
+        res = kernels.svd(zs[lo:hi, None, None] * eye - a)
+        s[lo:hi], x[lo:hi] = res.sigma[:, -1], res.v[:, :, -1]
+    return s.reshape(z.shape)[()], x.reshape(z.shape + (n,))
+
+
+def shifted_smallest_singular(a, z):
+    """s(z) = sigma_n(zI - A) at a scalar z (a float) or a 1-D array of z (an array).
+
+    a is a matrix or an Analysis; the values are those of shifted_smallest_pair.
+    """
+    return shifted_smallest_pair(a, z)[0]
 
 
 def shifted_sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from specnorm.certifier import (
     left_eigvec_check,
     matrix_hash,
     recheck_certificate,
+    recheck_witness,
     select_probes,
     semisimple_check,
 )
@@ -253,7 +254,8 @@ class TestCertify:
         assert unit <= 1e-8 * 6
         assert diag <= 1e-8 * frob(a)
 
-    def test_normal_runs_one_schur_and_one_svd_per_eigenvalue(self, monkeypatch):
+    def test_normal_runs_one_schur_and_one_stacked_svd(self, monkeypatch):
+        # the 8 probes are the 8 items of one kernels.svd stack
         a = generate_matrix("normal", 8, 0)
         assert len(spectrum_of(a).clusters) == 8
         calls = {"svd": 0, "schur": 0}
@@ -266,7 +268,19 @@ class TestCertify:
 
             monkeypatch.setattr(kernels, name, counted)
         assert certify(a).verdict == "Normal"
-        assert calls == {"svd": 8, "schur": 1}
+        assert calls == {"svd": 1, "schur": 1}
+
+    def test_unconverged_probe_message(self, monkeypatch):
+        # the first unconverged item of the probe stack is the first probe
+        # that failed when the probes ran one at a time
+        a = generate_matrix("ginibre", 6, 1)
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        with pytest.raises(IndeterminateError) as exc:
+            certify(a)
+        assert str(exc.value) == (
+            "kernel did not converge: Jacobi SVD did not converge after 1 sweeps "
+            "(off-diagonal ratio 4.832e-01)"
+        )
 
     def test_normal_eigenbasis_is_the_schur_factor(self):
         a = generate_matrix("normal", 7, 3)
@@ -297,6 +311,40 @@ class TestCertify:
             assert is_ss and m_k == s_k
             for x in eigenspace_basis(a, lam, s_k):
                 assert left_eigvec_check(a, lam, x, 1e-7)
+
+
+class TestWitnessVector:
+    @pytest.mark.parametrize("a", [
+        J2,
+        generate_matrix("ginibre", 5, 1),
+        # the probe of -10 passes and the probe of the Jordan block's 0 fails,
+        # so the witness is the second probe
+        np.array([[-10.0, 0.0, 0.0], [0.0, 0.0, 0.01], [0.0, 0.0, 0.0]], dtype=complex),
+    ], ids=["J2", "ginibre5", "second_probe"])
+    def test_witness_vector_is_checkable(self, a):
+        # E = (zI - A)x x* puts z in the spectrum of A + E, with
+        # ||E||_2 = ||(zI - A)x|| = s(z) < d(z)
+        cert = certify(a)
+        assert cert.verdict == "Nonnormal"
+        x = cert.witness_vector
+        z = cert.witness.z
+        scale = max(1.0, frob(a))
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        residual = recheck_witness(a, cert)
+        assert abs(residual - cert.witness.s) <= 1e-12 * scale
+        assert cert.witness.d - residual > cert.config_echo["tol_eq"]
+        e = np.outer((z * np.eye(len(a)) - a) @ x, x.conj())
+        assert np.linalg.norm((a + e) @ x - z * x) <= 1e-12 * scale
+        doc = certificate_to_dict(cert, a)
+        assert doc["witness_vector"] == [[v.real, v.imag] for v in x]
+
+    def test_normal_certificate_has_no_witness_vector(self):
+        a = generate_matrix("normal", 4, 2)
+        cert = certify(a)
+        assert cert.verdict == "Normal" and cert.witness_vector is None
+        assert "witness_vector" not in certificate_to_dict(cert, a)
+        with pytest.raises(ValueError):
+            recheck_witness(a, cert)
 
 
 class TestSerialization:

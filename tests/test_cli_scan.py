@@ -385,6 +385,9 @@ class TestCli:
         {"n": 1, "entries": [5]},
         {"n": 1, "entries": [[[None, 0.0]]]},
         {"n": 1, "entries": [[["x", 0.0]]]},
+        {"n": 1.9, "entries": [[[1.0, 0.0]]]},
+        {"n": True, "entries": [[[1.0, 0.0]]]},
+        {"n": "2", "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     ])
     def test_malformed_matrix_file_exit_three(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -368,6 +368,74 @@ class TestSigmaMinBatch:
         assert sigma[0] == 1.0 and np.isnan(sigma[1])
 
 
+class TestSvdStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
+    def test_items_are_bit_identical_alone(self, kind, n):
+        # sigma of each item equals svd and sigma_min_batch of the item alone,
+        # and so does its V
+        param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
+        a = generate_matrix(kind, n, 7, param)
+        stack = shifted_stack(a, np.linspace(-2, 2, 4))
+        res = kernels.svd(stack)
+        assert res.sigma.shape == (16, n) and res.v.shape == (16, n, n)
+        for i, m in enumerate(stack):
+            alone = kernels.svd(m)
+            assert np.array_equal(res.sigma[i], alone.sigma)
+            assert res.sigma[i, -1] == kernels.sigma_min_batch(m[None])[0][0]
+            assert np.array_equal(res.v[i], alone.v)
+
+    def test_items_satisfy_the_svd_relations(self):
+        a = generate_matrix("ginibre", 6, 3)
+        stack = shifted_stack(a, np.linspace(-1, 1, 3))
+        res = kernels.svd(stack)
+        for m, sigma, v in zip(stack, res.sigma, res.v):
+            scale = np.linalg.norm(m)
+            gram, colnorm = sv_residuals(m, kernels.SvdResult(sigma, v))
+            assert gram <= 1e-10 * scale ** 2
+            assert colnorm <= 1e-10 * scale
+            assert unitarity_defect(v) <= 1e-10 * 6
+            # each column's first entry above 1e-12 of its largest is real
+            # and positive, up to the rounding of the phase factor
+            for col in v.T:
+                pivot = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
+                assert pivot.real > 0.0 and abs(pivot.imag) <= 4 * kernels.EPS * pivot.real
+
+    def test_sweep_budget_raises_the_first_unconverged_item(self, monkeypatch):
+        # the diagonal item converges in sweep 1; items 1 and 2 do not
+        a = generate_matrix("ginibre", 6, 2)
+        items = [np.diag(np.arange(1.0, 7.0)).astype(complex),
+                 0.5 * np.eye(6) - a, -0.5j * np.eye(6) - a]
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        residuals = []
+        for m in items[1:]:
+            with pytest.raises(ConvergenceError) as alone:
+                kernels.svd(m)
+            residuals.append(alone.value.residual)
+        assert residuals[0] != residuals[1]
+        for order, expected in ((items, residuals[0]), (items[::-1], residuals[1])):
+            with pytest.raises(ConvergenceError) as exc:
+                kernels.svd(np.stack(order))
+            assert exc.value.iterations == 1
+            assert exc.value.residual == expected
+
+    def test_out_of_range_item_raises_nonfinite(self):
+        a = generate_matrix("ginibre", 4, 1)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            kernels.svd(np.stack([a, a * 1e155]))
+
+    def test_nan_item_raises_nonfinite(self):
+        stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            kernels.svd(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 3), (2, 3, 4), (0, 3, 3), (2, 0, 0)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(DimensionError):
+            kernels.svd(np.ones(shape, dtype=complex))
+
+
 class TestRankWithTol:
     def test_identity(self):
         assert kernels.rank_with_tol(np.eye(3), 0.5) == 3

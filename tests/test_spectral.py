@@ -94,6 +94,23 @@ class TestShiftedSmallestSingular:
             sz = shifted_smallest_singular(a, z)
             assert abs(d - sz) <= 1e-9 * max(1.0, frob(a))
 
+    def test_array_of_shifts_in_chunks(self, monkeypatch):
+        # a 1-D array of z gives each z's scalar value and vector, bit for
+        # bit, also when the stack is split into chunks of 3 shifts
+        a = generate_matrix("ginibre", 5, 4)
+        zs = np.linspace(-2, 2, 7) + 0.3j
+        alone = [spectral.shifted_smallest_pair(a, z) for z in zs]
+        whole = spectral.shifted_smallest_pair(a, zs)
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
+        chunked = spectral.shifted_smallest_pair(a, zs)
+        for s, x in (whole, chunked):
+            assert s.shape == (7,) and x.shape == (7, 5)
+            assert np.array_equal(s, [s_k for s_k, _ in alone])
+            assert np.array_equal(x, [x_k for _, x_k in alone])
+            assert np.array_equal(s, shifted_smallest_singular(a, zs))
+        for z, (s_k, x_k) in zip(zs, alone):
+            assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
+
 
 class TestGap:
     def test_normal_zero_gap(self):
