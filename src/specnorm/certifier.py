@@ -19,6 +19,7 @@ call them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class NormalityCertificate:
 
 @dataclass
 class CertifyConfig:
-    """Absolute tolerances; None means the scaled default."""
+    """Absolute tolerances (finite, >= 0; None means the scaled default) and the probe angle."""
 
     tol_eq: float | None = None
     cluster_tol: float | None = None
@@ -262,12 +263,18 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     eigenbasis once they meet the residual bounds
     ||U*U - I||_F <= TOL_CERT*n and ||offdiag(U*AU)||_F <= TOL_CERT*scale.
     Kernel non-convergence or a residual over its bound raises
-    IndeterminateError rather than guessing.
+    IndeterminateError rather than guessing. A NaN, infinite or negative
+    tolerance, or a non-finite probe angle, raises ValueError.
     """
     an = spectral.analyze(a)
     a = an.a
     if config is None:
         config = CertifyConfig()
+    for name, tol in (("tol_eq", config.tol_eq), ("cluster_tol", config.cluster_tol)):
+        if tol is not None and not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    if not math.isfinite(config.probe_angle):
+        raise ValueError(f"probe_angle must be finite, got {config.probe_angle!r}")
     n = a.shape[0]
     tol_eq = config.tol_eq if config.tol_eq is not None else TOL_EQ * an.scale
     cluster_tol = (

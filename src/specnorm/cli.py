@@ -8,6 +8,7 @@ Diagnostics go to stderr; machine-readable output to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -28,6 +29,12 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="generator seed")
     p.add_argument("--eps", type=float, default=None,
                    help="family parameter (near_normal epsilon, jordan eigenvalue)")
+
+
+def _add_certify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol-eq", type=float, default=None, dest="tol_eq")
+    p.add_argument("--cluster-tol", type=float, default=None, dest="cluster_tol")
+    p.add_argument("--probe-angle", type=float, default=0.0, dest="probe_angle")
 
 
 def _resolve_seed(args) -> int:
@@ -97,15 +104,7 @@ def cmd_scan(args) -> int:
 def cmd_weyl(args) -> int:
     a = _load_matrix(args)
     report = spectral.weyl_bounds_check(a)
-    doc = {
-        "sigma_1": report.sigma_1,
-        "sigma_n": report.sigma_n,
-        "abs_lambda_max": report.abs_lambda_max,
-        "abs_lambda_min": report.abs_lambda_min,
-        "upper_ok": report.upper_ok,
-        "lower_ok": report.lower_ok,
-    }
-    _emit(io.dump_json(doc), args.output)
+    _emit(io.dump_json(dataclasses.asdict(report)), args.output)
     return EXIT_NORMAL
 
 
@@ -158,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="probe-based normality certificate")
     _add_matrix_source(p)
     p.add_argument("--output", help="certificate JSON path")
-    p.add_argument("--tol-eq", type=float, default=None, dest="tol_eq")
-    p.add_argument("--cluster-tol", type=float, default=None, dest="cluster_tol")
-    p.add_argument("--probe-angle", type=float, default=0.0, dest="probe_angle")
+    _add_certify_options(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("scan", help="grid scan of s(z), d(z), ratio")
@@ -186,9 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_source(p)
     p.add_argument("--output", help="output path (default stdout)")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol-eq", type=float, default=None, dest="tol_eq")
-    p.add_argument("--cluster-tol", type=float, default=None, dest="cluster_tol")
-    p.add_argument("--probe-angle", type=float, default=0.0, dest="probe_angle")
+    _add_certify_options(p)
     p.set_defaults(func=cmd_check_corollary)
 
     return parser

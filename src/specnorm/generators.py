@@ -14,10 +14,6 @@ from .kernels import frob
 KINDS = ("normal", "hermitian", "unitary", "jordan", "ginibre", "near_normal")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g / np.sqrt(2.0)
@@ -42,7 +38,7 @@ def generate_matrix(kind: str, n: int, seed: int, param: float | None = None):
         raise ValueError(f"unknown matrix kind {kind!r}; expected one of {KINDS}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if kind == "ginibre":
         return _ginibre(rng, n)
     if kind == "hermitian":

@@ -95,11 +95,6 @@ def scan_csv(scan: GridScan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scan_csv(path, scan: GridScan) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scan_csv(scan))
-
-
 def _json_float(x: float) -> str:
     """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
     if x - x == 0.0:

@@ -1,9 +1,9 @@
 """Dense complex linear-algebra primitives.
 
-Self-contained factorizations for desk-scale matrices: Householder QR,
-Hessenberg reduction plus shifted-QR Schur form, one-sided Jacobi singular
-values (sigma and V of a square matrix, no U), rank at tolerance, and
-modified Gram-Schmidt.
+Self-contained factorizations for desk-scale matrices: Householder QR and
+Hessenberg reduction (one reflector) plus shifted-QR Schur form, one-sided
+Jacobi singular values (sigma and V of a square matrix, no U), rank at
+tolerance, and modified Gram-Schmidt.
 Every singular value comes from one one-sided Jacobi core, `_jacobi`, over a
 stack of column sets. Its sweeps follow a round-robin ordering (Brent & Luk
 1985): the n(n-1)/2 column pairs fall into n-1 steps (n for odd n) of
@@ -46,8 +46,8 @@ MAX_QR_ITERS_PER_N = 30
 MAX_JACOBI_SWEEPS = 30
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and coerce input to a 2-D complex128 array."""
+def as_square(a) -> np.ndarray:
+    """Validate and coerce input to a square complex128 matrix."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
@@ -55,63 +55,59 @@ def as_matrix(a) -> np.ndarray:
         raise DimensionError(f"matrix dimensions must be >= 1, got {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise NonFiniteError("matrix contains NaN or Inf entries")
-    return np.array(m, dtype=np.complex128, order="C")
-
-
-def as_square(a) -> np.ndarray:
-    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got {m.shape}")
-    return m
+    return np.array(m, dtype=np.complex128, order="C")
 
 
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first significant component is real >= 0."""
-    v = np.asarray(v, dtype=np.complex128)
-    amax = float(np.max(np.abs(v))) if v.size else 0.0
-    if amax == 0.0:
-        return v.copy()
-    idx = int(np.argmax(np.abs(v) > 1e-12 * amax))
-    pivot = v[idx]
-    if abs(pivot) == 0.0:
-        return v.copy()
-    return v * (abs(pivot) / pivot)
+def _pin_phases(v: np.ndarray) -> np.ndarray:
+    """Rotate each vector on the last axis so its first significant entry is real >= 0.
+
+    Significant means above 1e-12 times the vector's largest entry; a zero
+    vector stays as it is.
+    """
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True), axis=-1)
+    pivot = np.take_along_axis(v, first[..., None], axis=-1)
+    apivot = np.abs(pivot)
+    return v * np.divide(apivot, pivot, out=np.ones_like(pivot), where=apivot > 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Householder QR
+# Householder QR, Hessenberg reduction and Schur form
 # ---------------------------------------------------------------------------
+
+
+def _reflector(x: np.ndarray) -> np.ndarray | None:
+    """Unit Householder vector of x, pivot pushed away from zero; None for x = 0."""
+    normx = float(np.linalg.norm(x))
+    if normx == 0.0:
+        return None
+    alpha = x[0]
+    phase = alpha / abs(alpha) if abs(alpha) > 0.0 else 1.0
+    v = x.copy()
+    # |v[0]| = |x[0]| + ||x||, so ||v|| >= ||x|| > 0
+    v[0] += phase * normx
+    return v / float(np.linalg.norm(v))
 
 
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full QR factorization A = Q R of an m x n matrix with m >= n.
+    """Full QR factorization A = Q R of a square matrix (else DimensionError).
 
-    Q is m x m unitary, R is m x n upper triangular. Complex Householder
-    reflections with the usual sign choice (pivot pushed away from zero).
+    Q is unitary, R is upper triangular with a real nonnegative diagonal.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise DimensionError(f"householder_qr requires rows >= cols, got {a.shape}")
+    a = as_square(a)
+    n = a.shape[0]
     r = a.copy()
-    q = np.eye(m, dtype=np.complex128)
-    for k in range(min(n, m - 1)):
-        x = r[k:, k]
-        normx = float(np.linalg.norm(x))
-        if normx == 0.0:
+    q = np.eye(n, dtype=np.complex128)
+    for k in range(n - 1):
+        v = _reflector(r[k:, k])
+        if v is None:
             continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if abs(alpha) > 0.0 else 1.0
-        v = x.copy()
-        v[0] += phase * normx
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
         r[k:, k:] -= 2.0 * np.outer(v, v.conj() @ r[k:, k:])
         q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v.conj())
     # make the R diagonal real nonnegative so the factorization is unique
@@ -124,11 +120,6 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q, np.triu(r)
 
 
-# ---------------------------------------------------------------------------
-# Hessenberg reduction and Schur form
-# ---------------------------------------------------------------------------
-
-
 def hessenberg(a) -> tuple[np.ndarray, np.ndarray]:
     """Unitary reduction A = Q H Q* with H upper Hessenberg."""
     a = as_square(a)
@@ -136,18 +127,9 @@ def hessenberg(a) -> tuple[np.ndarray, np.ndarray]:
     h = a.copy()
     q = np.eye(n, dtype=np.complex128)
     for k in range(n - 2):
-        x = h[k + 1 :, k]
-        normx = float(np.linalg.norm(x))
-        if normx == 0.0:
+        v = _reflector(h[k + 1 :, k])
+        if v is None:
             continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if abs(alpha) > 0.0 else 1.0
-        v = x.copy()
-        v[0] += phase * normx
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
         h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
         h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
         q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
@@ -182,16 +164,13 @@ def schur(a) -> SchurResult:
     Single Wilkinson shift from the trailing 2x2 of the active block;
     deflation when a subdiagonal drops below eps*(|h[i-1,i-1]| + |h[i,i]|).
     An exceptional shift is injected every 10 stagnant iterations, and at
-    most MAX_QR_ITERS_PER_N * n iterations run.
+    most MAX_QR_ITERS_PER_N * n iterations run. A 1x1 matrix runs none:
+    Q = [[1]] and T = A.
     """
     a = as_square(a)
     n = a.shape[0]
     max_iters = MAX_QR_ITERS_PER_N * n
     anorm = frob(a)
-    if n == 1:
-        return SchurResult(
-            np.eye(1, dtype=np.complex128), a.copy(), np.array([a[0, 0]])
-        )
     q, h = hessenberg(a)
 
     def negligible(i: int) -> bool:
@@ -414,9 +393,9 @@ def svd(a) -> SvdResult:
     result is sigma (n,) and V (n, n), or sigma (B, n) and V (B, n, n).
     One `_jacobi` call orthogonalizes the columns of every item's [A_i; I],
     so V's rows ride along under A_i; sigma is the column norms, sorted
-    non-increasing. Each column of V has its phase pinned as
-    `phase_normalize` pins a vector (its first entry above 1e-12 times its
-    largest made real >= 0), for all items at once. Accurate for small
+    non-increasing. Each column of V has its phase pinned by `_pin_phases`
+    (its first entry above 1e-12 times its largest made real >= 0), for all
+    items at once. Accurate for small
     singular values, which is what the shifted-matrix consumers need.
     Raises DimensionError on a non-square input and NonFiniteError on a NaN
     or Inf entry. Otherwise the first item, in stack order, that fails
@@ -451,14 +430,9 @@ def svd(a) -> SvdResult:
     order = np.argsort(-norms, axis=1, kind="stable")
     # cols[b, i] is column i of item b's V
     cols = np.take_along_axis(x[..., n:], order[..., None], axis=1)
-    mag = np.abs(cols)
-    first = np.argmax(mag > 1e-12 * mag.max(axis=2, keepdims=True), axis=2)
-    pivot = np.take_along_axis(cols, first[..., None], axis=2)
-    apivot = np.abs(pivot)
-    phase = np.divide(apivot, pivot, out=np.ones_like(pivot), where=apivot > 0.0)
     return SvdResult(
         np.take_along_axis(norms, order, axis=1).reshape(a.shape[:-1]),
-        (cols * phase).transpose(0, 2, 1).reshape(a.shape),
+        _pin_phases(cols).transpose(0, 2, 1).reshape(a.shape),
     )
 
 
@@ -531,5 +505,5 @@ def gram_schmidt_orthonormalize(vectors, kappa_rank: float | None = None):
                 f"(residual norm {nrm:.3e})",
                 index=i,
             )
-        out.append(phase_normalize(w / nrm))
+        out.append(_pin_phases(w / nrm))
     return out

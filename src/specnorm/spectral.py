@@ -8,7 +8,7 @@ matrix is normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,7 +70,6 @@ class Spectrum:
     all_eigenvalues: np.ndarray
     clusters: list[tuple[complex, int]]
     source_scale: float
-    cluster_tol: float = field(default=0.0)
 
     @property
     def representatives(self) -> np.ndarray:
@@ -144,7 +143,7 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
             if merged:
                 break
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return Spectrum(raw.copy(), clusters, float(scale), float(cluster_tol))
+    return Spectrum(raw.copy(), clusters, float(scale))
 
 
 def spectrum_of(a, cluster_tol: float | None = None) -> Spectrum:

@@ -239,6 +239,26 @@ class TestCertify:
         with pytest.raises(IndeterminateError):
             certify(J2, CertifyConfig(tol_eq=10.0))
 
+    @pytest.mark.parametrize("config", [
+        CertifyConfig(tol_eq=float("nan")),
+        CertifyConfig(tol_eq=-1.0),
+        CertifyConfig(tol_eq=float("inf")),
+        CertifyConfig(cluster_tol=float("inf")),
+        CertifyConfig(cluster_tol=-1e-3),
+        CertifyConfig(cluster_tol=float("nan")),
+        CertifyConfig(probe_angle=float("nan")),
+        CertifyConfig(probe_angle=float("-inf")),
+    ], ids=["tol_eq-nan", "tol_eq-negative", "tol_eq-inf", "cluster_tol-inf",
+            "cluster_tol-negative", "cluster_tol-nan", "probe_angle-nan", "probe_angle-inf"])
+    def test_rejects_malformed_config(self, config):
+        with pytest.raises(ValueError, match="must be finite"):
+            certify(generate_matrix("normal", 3, 1), config)
+
+    def test_accepts_zero_tolerances(self):
+        cert = certify(np.diag([1.0, 2.0]), CertifyConfig(tol_eq=0.0, cluster_tol=0.0))
+        assert cert.config_echo["tol_eq"] == 0.0
+        assert cert.config_echo["cluster_tol"] == 0.0
+
     @pytest.mark.parametrize("angle", [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
     def test_probe_angle_invariance(self, angle):
         a = generate_matrix("normal", 5, 23)

@@ -278,7 +278,7 @@ class TestMatrixIO:
     def test_scan_csv_shape(self, tmp_path):
         scan = scan_grid(np.diag([1.0, 2.0]).astype(complex), (0, 1, 0, 1), 2, 2)
         path = tmp_path / "scan.csv"
-        snio.write_scan_csv(path, scan)
+        path.write_text(snio.scan_csv(scan))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "re,im,s,d,ratio,flag"
         assert len(lines) == 5
@@ -406,6 +406,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: region bounds must be finite\n"
+
+    @pytest.mark.parametrize("command", ["certify", "check-corollary"])
+    @pytest.mark.parametrize(
+        "option", ["--tol-eq=nan", "--tol-eq=-1", "--cluster-tol=inf", "--probe-angle=nan"]
+    )
+    def test_malformed_tolerance_exit_three(self, command, option, capsys):
+        code = main([command, "--kind", "normal", "--n", "3", "--seed", "1", option])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = option[2:].split("=")[0].replace("-", "_")
+        assert captured.err.startswith(f"error: {name} must be finite")
 
     def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
         argv = ["scan", "--kind", "ginibre", "--n", "3", "--seed", "1", "--grid", "3,3"]

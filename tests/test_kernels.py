@@ -53,7 +53,7 @@ class TestHouseholderQR:
         assert abs(r[0, 0] * r[1, 1]) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_column_norm(self):
-        a = np.array([[3.0, 0.0], [4.0, 0.0], [0.0, 0.0]], dtype=complex)
+        a = np.array([[3.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
         _, r = kernels.householder_qr(a)
         assert abs(r[0, 0]) == pytest.approx(5.0, abs=1e-13)
 
@@ -83,6 +83,13 @@ class TestSchur:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             kernels.schur(np.ones((2, 3)))
+
+    def test_one_by_one_exact(self):
+        a = np.array([[2.5 - 1.25j]])
+        res = kernels.schur(a)
+        assert np.array_equal(res.q, [[1.0]])
+        assert np.array_equal(res.t, a)
+        assert np.array_equal(res.eigenvalues, [a[0, 0]])
 
     def test_circulant_shift(self):
         n = 6
