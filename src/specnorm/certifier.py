@@ -27,10 +27,9 @@ import numpy as np
 from . import kernels, spectral
 from .errors import ConvergenceError, IndeterminateError
 from .kernels import EPS, as_square, frob
-from .spectral import Spectrum
+from .spectral import TOL_CERT, Spectrum
 
 TOL_EQ = 1e-8
-TOL_CERT = 1e-8
 TIE_MARGIN = 1e-3
 
 
@@ -94,6 +93,19 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     z_k = lambda_k + r_k * e^{i*angle} with r_k = (1 - TIE_MARGIN) times half
     the distance to the nearest other representative; a lone eigenvalue gets
     radius max(1, scale)/2.
+
+    Why one such probe per distinct eigenvalue decides normality: let x be a
+    unit eigenvector of lambda_k, with lambda_k among the eigenvalues nearest
+    to z != lambda_k. Then ||(zI - A)x|| = |z - lambda_k| = d(z), so
+    s(z) = d(z) makes x a minimizing right singular vector of zI - A:
+    (zI - A)*(zI - A)x = d(z)^2 x = conj(z - lambda_k)(z - lambda_k) x, and
+    dividing by z - lambda_k gives A*x = conj(lambda_k) x. So x spans a
+    reducing subspace of A; deflating it leaves the same test on its
+    orthogonal complement, and one passing probe per distinct eigenvalue,
+    wherever it sits as long as lambda_k stays among its nearest
+    eigenvalues, forces an orthonormal eigenbasis: A is normal. This is the
+    paper's finite probe set made explicit; the strict-nearest check below
+    guards its condition.
     """
     reps = spectrum.representatives
     p = len(reps)
@@ -262,7 +274,14 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     witness_vector. On a clean pass the Schur vectors are attached as the
     eigenbasis once they meet the residual bounds
     ||U*U - I||_F <= TOL_CERT*n and ||offdiag(U*AU)||_F <= TOL_CERT*scale.
-    Kernel non-convergence or a residual over its bound raises
+    The unitarity residual is the Analysis's own, computed once: it also
+    decides the basis of the probe stack. When it meets its bound, the
+    probe columns are those of (zI - A)Q = zQ - AQ, nearly orthogonal for a
+    normal or near-normal matrix, so the Jacobi needs few sweeps, and the
+    witness vector is x = Qv; otherwise they are the columns of zI - A.
+    Either way they are formed from A, and Q only rotates: s moves by at
+    most ||zI - A||_2 ||Q*Q - I||_2, and recheck_witness checks x against A
+    itself. Kernel non-convergence or a residual over its bound raises
     IndeterminateError rather than guessing. A NaN, infinite or negative
     tolerance, or a non-finite probe angle, raises ValueError.
     """
@@ -270,9 +289,8 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     a = an.a
     if config is None:
         config = CertifyConfig()
-    for name, tol in (("tol_eq", config.tol_eq), ("cluster_tol", config.cluster_tol)):
-        if tol is not None and not 0.0 <= tol < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    spectral.check_tolerance("tol_eq", config.tol_eq)
+    spectral.check_tolerance("cluster_tol", config.cluster_tol)
     if not math.isfinite(config.probe_angle):
         raise ValueError(f"probe_angle must be finite, got {config.probe_angle!r}")
     n = a.shape[0]
@@ -314,7 +332,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             witness_vector=x[k],
         )
     u = an.schur.q
-    unitarity = frob(u.conj().T @ u - np.eye(n))
+    unitarity = an.unitarity
     diagonalization = offdiag_frobenius(u.conj().T @ a @ u)
     for name, value, bound in (
         ("unitarity", unitarity, TOL_CERT * n),

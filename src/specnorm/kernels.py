@@ -23,10 +23,17 @@ V. The certifier evaluates all its probes as one such stack (through
 `spectral.shifted_smallest_pair`). `sigma_min_batch` runs the core on a
 (B, n, n) stack for values only, which is how `scan.scan_grid` and
 `scan.check_corollary` evaluate all their shifts of one matrix (through
-`spectral.shifted_sigma_min_batch`). A singular value that comes out
+`spectral.shifted_sigma_min_batch`). Those stacks are built in `spectral`
+as zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
+||Q*Q - I||_F meets certify's bound TOL_CERT*n, which makes the columns
+nearly orthogonal for a normal or near-normal A and moves the singular
+values by at most ||zI - A||_2 ||Q*Q - I||_2, and B = I otherwise. The
+kernels see plain matrices either way. A singular value that comes out
 non-finite (entries outside about 1e-145..1e154) is never reported as a
-result: `svd` raises NonFiniteError and `sigma_min_batch` flags the item
-unconverged with NaN.
+result, and neither is one of a nonzero matrix whose column norms are all
+below sqrt(TINY), about 1.5e-154, where the squared norms underflow (below
+about 1e-161 they read 0): `svd` raises NonFiniteError and
+`sigma_min_batch` flags the item unconverged with NaN.
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called on any production path.
 """
@@ -41,6 +48,7 @@ import numpy as np
 from .errors import ConvergenceError, DependenceError, DimensionError, NonFiniteError
 
 EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).tiny)
 
 MAX_QR_ITERS_PER_N = 30
 MAX_JACOBI_SWEEPS = 30
@@ -386,6 +394,17 @@ def as_square_stack(a) -> np.ndarray:
     return m
 
 
+def _underflows(stack: np.ndarray) -> np.ndarray:
+    """Per item of a (B, n, n) stack: a nonzero entry, but every squared column norm below TINY.
+
+    The Jacobi core works on squared norms and inner products, so such an
+    item's singular values would come out wrong (zero below about 1e-161)
+    and flagged as converged.
+    """
+    sq = (stack.real * stack.real + stack.imag * stack.imag).sum(axis=1)
+    return (sq.max(axis=1) < TINY) & (stack != 0.0).any(axis=(1, 2))
+
+
 def svd(a) -> SvdResult:
     """Singular values and right singular vectors of a square matrix or a stack.
 
@@ -399,23 +418,33 @@ def svd(a) -> SvdResult:
     singular values, which is what the shifted-matrix consumers need.
     Raises DimensionError on a non-square input and NonFiniteError on a NaN
     or Inf entry. Otherwise the first item, in stack order, that fails
-    raises what svd of that item alone raises: ConvergenceError when the
-    sweep budget runs out (residual: the largest coupling left at exit) or
-    NonFiniteError when a singular value is not finite, which happens for
-    entries outside about 1e-145..1e154.
+    raises what svd of that item alone raises: NonFiniteError for a nonzero
+    matrix whose column norms are all below sqrt(TINY) (`_underflows`),
+    ConvergenceError when the sweep budget runs out (residual: the largest
+    coupling left at exit), or NonFiniteError when a singular value is not
+    finite, which happens for entries outside about 1e-145..1e154. The zero
+    matrix has sigma 0.
     """
     a = as_square_stack(a)
     n = a.shape[-1]
     stack = a.reshape(-1, n, n)
-    # the columns of every [A_i; I], laid out as _jacobi rotates them
+    tiny = _underflows(stack)
+    # the columns of every [A_i; I], laid out as _jacobi rotates them; a
+    # refused item's A part is zeroed, so the core passes over it
     x = np.empty((len(stack), n, 2 * n), dtype=np.complex128)
     x[..., :n] = stack.transpose(0, 2, 1)
+    x[tiny, :, :n] = 0.0
     x[..., n:] = np.eye(n)
     x, converged, off = _jacobi(x, n)
     norms = np.sqrt(np.sum(np.abs(x[..., :n]) ** 2, axis=2))
-    failed = ~converged | ~np.isfinite(norms).all(axis=1)
+    failed = tiny | ~converged | ~np.isfinite(norms).all(axis=1)
     if failed.any():
         i = int(np.argmax(failed))
+        if tiny[i]:
+            raise NonFiniteError(
+                "Jacobi SVD refuses a nonzero matrix whose column norms are all "
+                "below about 1.5e-154, where their squares underflow"
+            )
         if not converged[i]:
             raise ConvergenceError(
                 f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
@@ -441,9 +470,11 @@ def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
 
     `_jacobi` over the stack's columns, values only (no V); sigma_min is
     the smallest column norm. Items with a NaN or
-    Inf entry or a non-finite sigma_min (entries outside about
-    1e-145..1e154), or that still rotate in sweep MAX_JACOBI_SWEEPS, are
-    reported unconverged; the former two with sigma_min NaN.
+    Inf entry, nonzero items whose column norms are all below sqrt(TINY)
+    (`_underflows`), items with a non-finite sigma_min (entries outside
+    about 1e-145..1e154), and items that still rotate in sweep
+    MAX_JACOBI_SWEEPS are reported unconverged; all but the last with
+    sigma_min NaN.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
@@ -451,9 +482,9 @@ def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     b, n, _ = stack.shape
     sigma = np.full(b, np.nan)
     converged = np.zeros(b, dtype=bool)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    w, converged[finite], _ = _jacobi(stack[finite].transpose(0, 2, 1), n)
-    sigma[finite] = np.sqrt(np.sum(np.abs(w) ** 2, axis=2)).min(axis=1)
+    ok = np.isfinite(stack).all(axis=(1, 2)) & ~_underflows(stack)
+    w, converged[ok], _ = _jacobi(stack[ok].transpose(0, 2, 1), n)
+    sigma[ok] = np.sqrt(np.sum(np.abs(w) ** 2, axis=2)).min(axis=1)
     bad = ~np.isfinite(sigma)
     sigma[bad] = np.nan
     converged[bad] = False

@@ -5,7 +5,12 @@ spectral.shifted_sigma_min_batch, which runs the batched values-only Jacobi
 kernel kernels.sigma_min_batch, and d(z) with spectral.dist_to_spectrum_batch,
 one broadcast over the cluster representatives. Both accept a matrix or a
 spectral.Analysis, and take the spectrum from its one Schur form and their
-scale from its ||A||_F; neither factors the matrix any other way.
+scale from its ||A||_F; neither factors the matrix any other way. They pass
+the Analysis on, so the Jacobi runs on the columns of zQ - AQ = (zI - A)Q,
+Q the Schur factor, whenever Q meets certify's unitarity bound (spectral's
+module docstring): nearly orthogonal for a normal or near-normal matrix, so
+few sweeps, and the singular values of zI - A up to
+||zI - A||_2 ||Q*Q - I||_2.
 """
 
 from __future__ import annotations
@@ -49,10 +54,10 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
 
     Row-major ordering: the imaginary axis is the slow index. Every node's
     s(z) comes from one batched values-only Jacobi (kernels.sigma_min_batch)
-    over the stack of shifted matrices. Nodes within n*EPS*max(1, ||A||_F)
-    of an eigenvalue are flagged and their ratio pinned to 1 to avoid 0/0; a
-    node whose Jacobi did not converge, or whose s(z) is not finite, is
-    marked failed and the scan continues.
+    over the stack of Schur-rotated shifted matrices zQ - AQ. Nodes within
+    n*EPS*max(1, ||A||_F) of an eigenvalue are flagged and their ratio
+    pinned to 1 to avoid 0/0; a node whose Jacobi did not converge, or whose
+    s(z) is not finite, is marked failed and the scan continues.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -72,7 +77,7 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     grid.imag = ims[:, None]
     zs = grid.ravel()
     ds = spectral.dist_to_spectrum_batch(zs, spectrum)
-    ss, converged = spectral.shifted_sigma_min_batch(a, zs)
+    ss, converged = spectral.shifted_sigma_min_batch(an, zs)
     samples = []
     for z, s, d, ok in zip(zs.tolist(), ss.tolist(), ds.tolist(), converged.tolist()):
         if not ok:
@@ -106,10 +111,10 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     one draw of 2*n_samples uniforms u, read in pairs: sample i lies at
     radius*sqrt(u[2i]) and angle 2*pi*u[2i+1], the values that drawing r,
     then theta, per sample gives. s(z) comes from one batched values-only
-    Jacobi (kernels.sigma_min_batch). A shift whose s(z) is not finite (a NaN or
-    Inf entry in zI - A, or a kernel overflow or underflow) raises
-    NonFiniteError; a shift on which the Jacobi did not converge raises
-    ConvergenceError.
+    Jacobi (kernels.sigma_min_batch) over the stack of zQ - AQ. A shift
+    whose s(z) is not finite (a NaN or Inf entry in zI - A, or a kernel
+    overflow or underflow) raises NonFiniteError; a shift on which the
+    Jacobi did not converge raises ConvergenceError.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -120,7 +125,7 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     radius = 2.0 * an.scale
     u = np.random.default_rng(seed).random(2 * n_samples)
     zs = center + radius * np.sqrt(u[0::2]) * np.exp(1j * (2.0 * np.pi * u[1::2]))
-    ss, converged = spectral.shifted_sigma_min_batch(a, zs)
+    ss, converged = spectral.shifted_sigma_min_batch(an, zs)
     if np.isnan(ss).any():
         raise NonFiniteError(
             "s(z) is not finite at some shift: zI - A has NaN or Inf entries, "

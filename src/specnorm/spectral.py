@@ -4,10 +4,24 @@ d(z) is the distance from z to the (clustered) spectrum; s(z) is the smallest
 singular value of the shifted matrix zI - A. The one-sided bound s(z) <= d(z)
 holds for every square matrix, with equality everywhere exactly when the
 matrix is normal.
+
+Every stack of shifted matrices that goes to the Jacobi kernels is built
+here, by `_shifted_stacks`, as the columns zB - AB = (zI - A)B for a basis B
+with AB formed once per matrix; a minimizing right singular vector v of the
+stack item maps back to x = Bv for zI - A. B is the Schur factor Q when the
+caller passes an Analysis whose Q meets ||Q*Q - I||_F <= TOL_CERT*n (the
+bound of certify's Normal gate, which reads the same residual). Since
+(zI - A)Q = Q(zI - T) and T is nearly diagonal for a normal or near-normal
+matrix, those columns start out nearly orthogonal and the Jacobi needs few
+sweeps. Anything else, a raw matrix in particular, gets B = I: the columns of
+zI - A themselves, with no Schur form run. The columns are formed from A,
+not T, so s(z) does not depend on the computed eigenvalues, and Q only
+rotates: the singular values move by at most ||zI - A||_2 ||Q*Q - I||_2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +33,10 @@ from .kernels import as_square, frob
 # round-off slack of the Weyl bounds check; scaled by Analysis.scale
 KAPPA_WEYL = 1e-9
 CLUSTER_TOL = 1e-7
+# certify's residual bounds for the Schur factor Q, ||Q*Q - I||_F <= TOL_CERT*n
+# and ||offdiag(Q*AQ)||_F <= TOL_CERT*scale; the first also decides whether Q
+# is the basis of the shifted columns
+TOL_CERT = 1e-8
 # complex entries per stack of shifted matrices in one kernels.sigma_min_batch
 # or kernels.svd call
 STACK_ENTRIES = 1 << 16
@@ -32,7 +50,12 @@ class Analysis:
     max(1, ||A||_F), the one factor the absolute tolerances scale by. schur
     is computed on first use and kept: the spectrum, the certificate and a
     scan of one Analysis share one Schur form, and a Schur failure raises
-    where the form is first needed. Build it with analyze.
+    where the form is first needed. unitarity is ||Q*Q - I||_F of its factor
+    Q, computed once. basis is what the shifted stacks of this Analysis are
+    built from: (Q, AQ) when unitarity <= TOL_CERT*n, else (None, A), where
+    None stands for B = I; Q only rotates, so the singular values of
+    zQ - AQ are those of zI - A up to ||zI - A||_2 ||Q*Q - I||_2. Build it
+    with analyze.
     """
 
     a: np.ndarray
@@ -46,6 +69,18 @@ class Analysis:
     def schur(self) -> kernels.SchurResult:
         return kernels.schur(self.a)
 
+    @cached_property
+    def unitarity(self) -> float:
+        q = self.schur.q
+        return frob(q.conj().T @ q - np.eye(len(q)))
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray | None, np.ndarray]:
+        if self.unitarity <= TOL_CERT * len(self.a):
+            q = self.schur.q
+            return q, self.a @ q
+        return None, self.a
+
 
 def analyze(a) -> Analysis:
     """The Analysis of a matrix; an Analysis is returned as it is."""
@@ -57,6 +92,12 @@ def analyze(a) -> Analysis:
 
 def default_cluster_tol(scale: float) -> float:
     return CLUSTER_TOL * max(1.0, scale)
+
+
+def check_tolerance(name: str, tol: float | None) -> None:
+    """Raise ValueError unless tol is None or finite and >= 0."""
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 @dataclass
@@ -93,13 +134,15 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
 
     Representatives are the means of their clusters (multiplicity-weighted,
     since every raw eigenvalue participates once). Representative pairs that
-    end up within the threshold are merged until separation holds.
+    end up within the threshold are merged until separation holds. A NaN,
+    infinite or negative cluster_tol raises ValueError.
     """
     raw = np.asarray(raw, dtype=np.complex128).reshape(-1)
     if raw.size == 0:
         raise ValueError("raw eigenvalue list must be nonempty")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
+    check_tolerance("cluster_tol", cluster_tol)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(scale)
     n = raw.size
@@ -172,29 +215,52 @@ def dist_to_spectrum_batch(zs: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return np.abs(spectrum.representatives[None, :] - zs[:, None]).min(axis=1)
 
 
+def _basis(a) -> tuple[np.ndarray | None, np.ndarray]:
+    """(B, AB) of a matrix or an Analysis, B None for the identity (module docstring)."""
+    if isinstance(a, Analysis):
+        return a.basis
+    return None, as_square(a)
+
+
+def _shifted_stacks(b, ab: np.ndarray, zs: np.ndarray, entries_per_item: int):
+    """Stacks of zB - AB over a 1-D array of shifts, each with its slice of zs.
+
+    B None is the identity. Each stack holds at most about STACK_ENTRIES
+    complex entries, counting entries_per_item per n*n, so memory stays
+    bounded on large grids.
+    """
+    n = ab.shape[0]
+    rot = np.eye(n, dtype=np.complex128) if b is None else b
+    step = max(1, STACK_ENTRIES // (entries_per_item * n * n))
+    for lo in range(0, zs.size, step):
+        sl = slice(lo, lo + step)
+        yield sl, zs[sl, None, None] * rot - ab
+
+
 def shifted_smallest_pair(a, z) -> tuple:
     """s(z) = sigma_n(zI - A) and a unit right singular vector x(z) for it.
 
     z is a scalar, giving s as a float and x of shape (n,), or a 1-D array
     of p shifts, giving s of shape (p,) and x of shape (p, n); a is a matrix
     or an Analysis. ||(zI - A)x|| = s(z), so x is a minimizing direction.
-    The shifted matrices z[..., None, None]*I - A go to kernels.svd in
-    stacks of at most about STACK_ENTRIES complex entries of their
-    [zI - A; I] columns, so memory stays bounded at large n. The first
-    failing z, in order, raises what kernels.svd raises for it.
+    The stacks of zB - AB go to kernels.svd, which runs on their [zB - AB; I]
+    columns (so an item counts 2*n*n toward STACK_ENTRIES), and the smallest
+    right singular vector v of each item maps back as x = Bv, each entry one
+    np.vecdot of a row of B with v, so neither s nor x depends on how the
+    shifts are chunked (a batched v @ B.T can round differently by batch size).
+    The first failing z, in order, raises what kernels.svd raises for it.
     """
-    a = analyze(a).a
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+    b, ab = _basis(a)
+    n = ab.shape[0]
     z = np.asarray(z, dtype=np.complex128)
     zs = z.reshape(-1)
     s = np.empty(zs.size)
     x = np.empty((zs.size, n), dtype=np.complex128)
-    step = max(1, STACK_ENTRIES // (2 * n * n))
-    for lo in range(0, zs.size, step):
-        hi = lo + step
-        res = kernels.svd(zs[lo:hi, None, None] * eye - a)
-        s[lo:hi], x[lo:hi] = res.sigma[:, -1], res.v[:, :, -1]
+    for sl, stack in _shifted_stacks(b, ab, zs, 2):
+        res = kernels.svd(stack)
+        v = res.v[:, :, -1]
+        s[sl] = res.sigma[:, -1]
+        x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
     return s.reshape(z.shape)[()], x.reshape(z.shape + (n,))
 
 
@@ -206,22 +272,18 @@ def shifted_smallest_singular(a, z):
     return shifted_smallest_pair(a, z)[0]
 
 
-def shifted_sigma_min_batch(a: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def shifted_sigma_min_batch(a, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s(z) = sigma_n(zI - A) at every z of a 1-D array, with a converged flag per z.
 
-    The shifted matrices go to kernels.sigma_min_batch in stacks of at most
-    about STACK_ENTRIES complex entries, so memory stays bounded on large
-    grids. A z whose shifted matrix has a NaN or Inf entry comes back
-    unconverged with s(z) NaN.
+    a is a matrix or an Analysis. The stacks of zB - AB go to
+    kernels.sigma_min_batch. A z whose shifted matrix has a NaN or Inf
+    entry, or is refused as out of range, comes back unconverged with s(z)
+    NaN.
     """
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    step = max(1, STACK_ENTRIES // (n * n))
     s = np.empty(zs.size)
     converged = np.empty(zs.size, dtype=bool)
-    for lo in range(0, zs.size, step):
-        hi = lo + step
-        s[lo:hi], converged[lo:hi] = kernels.sigma_min_batch(zs[lo:hi, None, None] * eye - a)
+    for sl, stack in _shifted_stacks(*_basis(a), zs, 1):
+        s[sl], converged[sl] = kernels.sigma_min_batch(stack)
     return s, converged
 
 

@@ -292,15 +292,23 @@ class TestCertify:
 
     def test_unconverged_probe_message(self, monkeypatch):
         # the first unconverged item of the probe stack is the first probe
-        # that failed when the probes ran one at a time
+        # that failed when the probes ran one at a time; the residual is that
+        # of the Schur-rotated columns zQ - AQ after one sweep
         a = generate_matrix("ginibre", 6, 1)
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
         with pytest.raises(IndeterminateError) as exc:
             certify(a)
         assert str(exc.value) == (
             "kernel did not converge: Jacobi SVD did not converge after 1 sweeps "
-            "(off-diagonal ratio 4.832e-01)"
+            "(off-diagonal ratio 4.764e-01)"
         )
+
+    @pytest.mark.parametrize("kind, n", [("normal", 16), ("hermitian", 32)])
+    def test_normal_probes_need_two_sweeps(self, kind, n, monkeypatch):
+        # the probe columns zQ - AQ of a normal matrix start out nearly
+        # orthogonal; the plain columns of zI - A needed 8 and 9 sweeps here
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 2)
+        assert certify(generate_matrix(kind, n, 1)).verdict == "Normal"
 
     def test_normal_eigenbasis_is_the_schur_factor(self):
         a = generate_matrix("normal", 7, 3)
@@ -357,6 +365,17 @@ class TestWitnessVector:
         assert np.linalg.norm((a + e) @ x - z * x) <= 1e-12 * scale
         doc = certificate_to_dict(cert, a)
         assert doc["witness_vector"] == [[v.real, v.imag] for v in x]
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    @pytest.mark.parametrize("kind", ["ginibre", "jordan"])
+    def test_witness_from_schur_columns_rechecks_against_a(self, kind, n):
+        # x = Qv from the rotated probe columns, checked against A itself
+        a = generate_matrix(kind, n, 3)
+        cert = certify(a)
+        assert cert.verdict == "Nonnormal"
+        residual = recheck_witness(a, cert)
+        assert abs(residual - cert.witness.s) <= 1e-12 * max(1.0, frob(a))
+        assert residual < cert.witness.d - cert.config_echo["tol_eq"]
 
     def test_normal_certificate_has_no_witness_vector(self):
         a = generate_matrix("normal", 4, 2)

@@ -161,6 +161,13 @@ class TestScanGrid:
         chunked = scan_grid(g, (-3.0, 3.0, -3.0, 3.0), 7, 5)
         assert chunked.samples == whole.samples
 
+    def test_normal_scan_needs_two_sweeps(self, monkeypatch):
+        # the scan's columns zQ - AQ of a normal matrix start out nearly
+        # orthogonal; the plain columns of zI - A needed 6 sweeps here
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 2)
+        scan = scan_grid(generate_matrix("normal", 6, 1), (-2.0, 2.0, -2.0, 2.0), 21, 21)
+        assert scan.failures == 0
+
     def test_unconverged_node_fails_and_scan_continues(self, monkeypatch):
         unconverge_item(monkeypatch, 4)
         g = generate_matrix("ginibre", 4, 2)
@@ -174,14 +181,25 @@ class TestScanGrid:
         assert all(s.flag == FLAG_OK for s in others)
 
     def test_out_of_range_matrix_fails_every_node_instead_of_nan_ok(self):
-        # entries of 1e-150 drive the Jacobi couplings subnormal: every s(z)
-        # is NaN, which must come back as nine `failed` nodes, not `ok` ones
-        a = generate_matrix("normal", 4, 1) * 1e-150
-        zs = np.array([x + 1j * y for y in (-1, 0, 1) for x in (-1, 0, 1)]) * 1e-150
+        # entries of 1e-150 drive the Jacobi couplings of the plain columns of
+        # zI - A subnormal: every s(z) is NaN
+        unit = generate_matrix("normal", 4, 1)
+        a = unit * 1e-150
+        nodes = np.array([x + 1j * y for y in (-1, 0, 1) for x in (-1, 0, 1)])
+        region = (-1e-150, 1e-150, -1e-150, 1e-150)
         with np.errstate(all="ignore"):
-            s, converged = spectral.shifted_sigma_min_batch(a, zs)
+            s, converged = spectral.shifted_sigma_min_batch(a, nodes * 1e-150)
             assert not converged.any() and np.isnan(s).all()
-            scan = scan_grid(a, (-1e-150, 1e-150, -1e-150, 1e-150), 3, 3)
+            scan = scan_grid(a, region, 3, 3)
+        # the scan's columns zQ - AQ start out nearly orthogonal and never
+        # reach the overflowing division: every node is right
+        plain, _ = spectral.shifted_sigma_min_batch(unit, nodes)
+        assert scan.failures == 0
+        got = np.array([smp.s for smp in scan.samples])
+        assert np.all(np.abs(got / (1e-150 * plain) - 1.0) <= 1e-14)
+        # columns that still overflow give nine `failed` nodes, not NaN `ok` ones
+        with np.errstate(all="ignore"):
+            scan = scan_grid(generate_matrix("ginibre", 4, 1) * 1e-150, region, 3, 3)
         assert scan.failures == 9
         assert not any(smp.flag == FLAG_OK for smp in scan.samples)
 

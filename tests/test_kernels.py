@@ -221,6 +221,42 @@ class TestSvd:
             kernels.svd(a)
 
 
+class TestUnderflowRefusal:
+    # below sqrt(TINY), about 1.5e-154, every squared column norm underflows:
+    # at 1e-160 sigma is off by about 6e-6 relative, below about 1e-161 it
+    # reads 0, and either came back converged
+    @pytest.mark.parametrize("factor", [1e-160, 1e-165, 1e-200])
+    @pytest.mark.parametrize("kind", ["identity", "ginibre"])
+    def test_svd_raises_and_batch_flags_nan(self, kind, factor):
+        a = np.eye(3) if kind == "identity" else generate_matrix("ginibre", 4, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="underflow"):
+                kernels.svd(a * factor)
+            with pytest.raises(NonFiniteError, match="underflow"):
+                kernels.rank_with_tol(a * factor, 0.0)
+            sigma, converged = kernels.sigma_min_batch(np.stack([a, a * factor]))
+        assert converged.tolist() == [True, False]
+        assert sigma[0] == kernels.sigma_min_batch(a[None])[0][0]
+        assert np.isnan(sigma[1])
+
+    def test_zero_matrix_still_has_sigma_zero(self):
+        zero = np.zeros((3, 3), dtype=complex)
+        assert kernels.svd(zero).sigma.tolist() == [0.0, 0.0, 0.0]
+        sigma, converged = kernels.sigma_min_batch(zero[None])
+        assert converged.tolist() == [True] and sigma.tolist() == [0.0]
+
+    def test_stack_raises_for_the_first_failing_item(self, monkeypatch):
+        a = 0.5 * np.eye(6) - generate_matrix("ginibre", 6, 2)
+        with pytest.raises(NonFiniteError, match="underflow"):
+            kernels.svd(np.stack([a, a * 1e-170]))
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        with pytest.raises(ConvergenceError):
+            kernels.svd(np.stack([a, a * 1e-170]))
+        with pytest.raises(NonFiniteError, match="underflow"):
+            kernels.svd(np.stack([a * 1e-170, a]))
+
+
 class TestSmallestSingularValue:
     def test_identity(self):
         assert kernels.svd(np.eye(4)).sigma[-1] == pytest.approx(1.0)

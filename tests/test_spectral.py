@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from specnorm import spectral
+from specnorm import kernels, spectral
+from specnorm.certifier import criterion_holds
+from specnorm.errors import NonFiniteError
 from specnorm.generators import generate_matrix
 from specnorm.kernels import frob
 from specnorm.spectral import (
@@ -48,6 +50,15 @@ class TestClusterSpectrum:
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         s = cluster_spectrum(raw, scale=3.0)
         assert sum(s.multiplicities) == 8
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_malformed_cluster_tol(self, tol):
+        # a NaN tolerance merged nothing, so diag(1, 1, 2) gave clusters 1, 1, 2
+        match = r"cluster_tol must be finite and >= 0, got "
+        with pytest.raises(ValueError, match=match):
+            cluster_spectrum([1.0, 1.0, 2.0], scale=2.0, cluster_tol=tol)
+        with pytest.raises(ValueError, match=match):
+            spectrum_of(np.diag([1.0, 1.0, 2.0]), tol)
 
 
 class TestDistToSpectrum:
@@ -110,6 +121,48 @@ class TestShiftedSmallestSingular:
             assert np.array_equal(s, shifted_smallest_singular(a, zs))
         for z, (s_k, x_k) in zip(zs, alone):
             assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
+
+    def test_schur_basis_shifts_in_chunks(self, monkeypatch):
+        # an Analysis gets the columns zQ - AQ and x = Qv: still each z's
+        # scalar value and vector, bit for bit, alone, whole and in chunks
+        an = spectral.analyze(generate_matrix("ginibre", 5, 4))
+        a = an.a
+        assert an.basis[0] is an.schur.q
+        zs = np.linspace(-2, 2, 7) + 0.3j
+        alone = [spectral.shifted_smallest_pair(an, z) for z in zs]
+        whole = spectral.shifted_smallest_pair(an, zs)
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
+        chunked = spectral.shifted_smallest_pair(an, zs)
+        for s, x in (whole, chunked):
+            assert s.shape == (7,) and x.shape == (7, 5)
+            assert np.array_equal(s, [s_k for s_k, _ in alone])
+            assert np.array_equal(x, [x_k for _, x_k in alone])
+            assert np.array_equal(s, shifted_smallest_singular(an, zs))
+        # Q only rotates, so s is that of the plain columns up to round-off
+        plain = shifted_smallest_singular(a, zs)
+        assert np.abs(whole[0] - plain).max() <= 1e-14 * max(1.0, frob(a))
+        for z, (s_k, x_k) in zip(zs, alone):
+            assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
+
+    def test_raw_matrix_runs_no_schur_form(self, monkeypatch):
+        a = generate_matrix("ginibre", 5, 4)
+        spect = spectrum_of(a)
+        zs = np.linspace(-2, 2, 7) + 0.3j
+
+        def refuse(_):
+            raise AssertionError("a Schur form ran on a raw matrix")
+
+        monkeypatch.setattr(kernels, "schur", refuse)
+        gap(a, 0.3, spect)
+        shifted_smallest_singular(a, zs)
+        criterion_holds(a, (0.3, spect.representatives[0]), 1e-8)
+        spectral.shifted_sigma_min_batch(a, zs)
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e-165, 1e-200])
+    def test_underflowing_shift_raises_nonfinite(self, factor):
+        # these read 0.0 (1e-165, 1e-200) or were off by 6e-6 (1e-160)
+        with pytest.raises(NonFiniteError, match="underflow"):
+            shifted_smallest_singular(factor * np.eye(3), 0.0)
 
 
 class TestGap:
