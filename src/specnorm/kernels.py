@@ -12,28 +12,27 @@ live item. A step costs a fixed number of numpy calls however many pairs
 and items it holds: pairs that do not rotate get the exact identity through
 arithmetic masks, not a branch, and the coupling's phase rides on the one
 complex coefficient of the rotation (the columns differ from a real-sine
-rotation's only by unit phases, which `svd`'s phase pinning on V absorbs).
+rotation's only by unit phases, which `jacobi_svd`'s phase pinning on V
+absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
 columns.
-`svd` runs the core on [A; I] for a square matrix, or on every [A_i; I] of
-a (B, n, n) stack in one call, so V rides along under A; it returns sigma
-and V and no U, since every caller reads sigma and only V's readers
-(`certifier.eigenspace_basis` and the certifier's witness vector) also read
-V. The certifier evaluates all its probes as one such stack (through
-`spectral.shifted_smallest_pair`). `sigma_min_batch` runs the core on a
-(B, n, n) stack for values only, which is how `scan.scan_grid` and
-`scan.check_corollary` evaluate all their shifts of one matrix (through
-`spectral.shifted_sigma_min_batch`). Those stacks are built in `spectral`
+`jacobi_svd`, the core's one entry point, runs it once on the columns of
+every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
+(no U: nothing reads it), and reports a status per item instead of raising;
+`svd` is its raising wrapper. The certifier evaluates all its probes as one
+`svd` stack (through `spectral.shifted_smallest_pair`), and `scan.scan_grid`
+and `scan.check_corollary` all their shifts of one matrix as values-only
+stacks (through `spectral.shifted_sigma_min_batch`), built in `spectral`
 as zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
 ||Q*Q - I||_F meets certify's bound TOL_CERT*n, which makes the columns
 nearly orthogonal for a normal or near-normal A and moves the singular
 values by at most ||zI - A||_2 ||Q*Q - I||_2, and B = I otherwise. The
 kernels see plain matrices either way. A singular value that comes out
 non-finite (entries outside about 1e-145..1e154) is never reported as a
-result, and neither is one of a nonzero matrix whose column norms are all
-below sqrt(TINY), about 1.5e-154, where the squared norms underflow (below
-about 1e-161 they read 0): `svd` raises NonFiniteError and
-`sigma_min_batch` flags the item unconverged with NaN.
+result, and neither is one of a matrix with a nonzero column of norm below
+sqrt(TINY), about 1.5e-154, where its squared norm underflows (below about
+1e-161 it reads 0): `jacobi_svd` flags the item with NaN, and `svd` raises
+NonFiniteError for it.
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called on any production path.
 """
@@ -293,9 +292,10 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """One-sided Jacobi over a (B, n, L) stack of column sets.
 
     x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
-    entries of the columns; the remaining entries ride along (in `svd` they
-    are the rows of V). A C-contiguous x is rotated in place (`svd` passes
-    its own fresh array); any other x is rotated in a C-contiguous copy.
+    entries of the columns; the remaining entries ride along (in
+    `jacobi_svd` with vectors they are the rows of V). A C-contiguous x is
+    rotated in place (`jacobi_svd`, its one caller, passes its own fresh
+    array); any other x is rotated in a C-contiguous copy.
     Each sweep runs the steps of `_round_robin(n)`, and each step rotates
     all its disjoint pairs in all live items at once, from fresh inner
     products (`np.vecdot`, which conjugates its first argument).
@@ -318,7 +318,7 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     rotating when MAX_JACOBI_SWEEPS ran out, the largest coupling
     |<w_p, w_q>|/(||w_p|| ||w_q||) over the first `rows` entries left in its
     returned columns. Entries outside about 1e-145..1e154 give non-finite
-    columns; the callers reject those.
+    columns; `jacobi_svd` flags those.
     """
     w = np.ascontiguousarray(x)
     b, n, _ = w.shape
@@ -376,119 +376,110 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return w, converged, off
 
 
-def as_square_stack(a) -> np.ndarray:
-    """Validate a square matrix or a (B, n, n) stack of them as complex128.
+# per-item status of jacobi_svd, in the order it checks an item
+OK, NONFINITE_ENTRY, UNDERFLOW, UNCONVERGED, NONFINITE_SIGMA = range(5)
 
-    A matrix goes through as_square; a stack gets the same rules for every
-    item (B >= 1, square, n >= 1, finite entries).
+# what svd raises for an item that jacobi_svd refuses or finds non-finite
+_NONFINITE = {
+    NONFINITE_ENTRY: "matrix contains NaN or Inf entries",
+    UNDERFLOW: "Jacobi SVD refuses a matrix with a nonzero column of norm below "
+    "about 1.5e-154, where its square underflows",
+    NONFINITE_SIGMA: "Jacobi SVD produced a non-finite singular value "
+    "(entries outside about 1e-145..1e154)",
+}
+
+
+@dataclass
+class JacobiStack:
+    """Per item of a stack: sigma (B, n), V (B, n, n) or None, status and residual (B,)."""
+
+    sigma: np.ndarray
+    v: np.ndarray | None
+    status: np.ndarray
+    residual: np.ndarray
+
+
+def jacobi_svd(stack, vectors: bool) -> JacobiStack:
+    """Singular values, and V if vectors, of every matrix in a (B, n, n) stack.
+
+    The one caller of `_jacobi`. A stack that is not B >= 1 square matrices
+    of n >= 1 raises DimensionError; no item raises. An item with a NaN or
+    Inf entry (status NONFINITE_ENTRY), or with a nonzero column whose
+    squared norm underflows below TINY (UNDERFLOW; sigma_min is at most that
+    column's norm, and the core, which works on squared norms, would return
+    it wrong and converged), is refused: its columns are zeroed, so the core
+    rotates nothing in it. One `_jacobi` call rotates the columns of every
+    A_i, or of every [A_i; I] so that V's rows ride along; sigma is the
+    column norms sorted non-increasing, and `_pin_phases` pins V's columns.
+    An item still rotating after MAX_JACOBI_SWEEPS is UNCONVERGED (residual:
+    the largest coupling left, else 0), and one with a non-finite sigma
+    (entries outside about 1e-145..1e154) NONFINITE_SIGMA. sigma is NaN on
+    every item that is neither OK nor UNCONVERGED. The A part takes the same
+    arithmetic with or without vectors, alone or in any stack, so sigma,
+    status and residual are bit-identical either way.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim == 2:
-        return as_square(m)
-    if m.ndim != 3 or m.shape[0] < 1 or m.shape[1] < 1 or m.shape[1] != m.shape[2]:
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.ndim != 3 or min(stack.shape) < 1 or stack.shape[1] != stack.shape[2]:
         raise DimensionError(
-            f"expected a square matrix or a (B, n, n) stack with B, n >= 1, got {m.shape}"
+            f"expected a (B, n, n) stack of square matrices with B, n >= 1, got {stack.shape}"
         )
-    if not np.isfinite(m).all():
-        raise NonFiniteError("stack contains NaN or Inf entries")
-    return m
-
-
-def _underflows(stack: np.ndarray) -> np.ndarray:
-    """Per item of a (B, n, n) stack: a nonzero entry, but every squared column norm below TINY.
-
-    The Jacobi core works on squared norms and inner products, so such an
-    item's singular values would come out wrong (zero below about 1e-161)
-    and flagged as converged.
-    """
-    sq = (stack.real * stack.real + stack.imag * stack.imag).sum(axis=1)
-    return (sq.max(axis=1) < TINY) & (stack != 0.0).any(axis=(1, 2))
+    b, n, _ = stack.shape
+    nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
+    # x[i, j] is column j of A_i, or of [A_i; I], as _jacobi rotates it
+    x = np.empty((b, n, 2 * n if vectors else n), dtype=np.complex128)
+    x[..., :n] = stack.transpose(0, 2, 1)
+    # a nonzero column whose squared norm, a real dot product as in _jacobi,
+    # is below TINY
+    f = x[..., :n].view(np.float64)
+    tiny = ((np.vecdot(f, f) < TINY) & (f != 0.0).any(axis=2)).any(axis=1)
+    refused = nonfinite | tiny
+    x[refused, :, :n] = 0.0
+    if vectors:
+        x[..., n:] = np.eye(n)
+    x, converged, residual = _jacobi(x, n)
+    norms = np.sqrt(np.sum(np.abs(x[..., :n]) ** 2, axis=2))
+    overflow = ~np.isfinite(norms).all(axis=1)
+    # later assignments win, so an item gets its first failure in check order
+    status = np.where(overflow, NONFINITE_SIGMA, OK)
+    status[~converged] = UNCONVERGED
+    status[tiny] = UNDERFLOW
+    status[nonfinite] = NONFINITE_ENTRY
+    norms[refused | overflow] = np.nan
+    order = np.argsort(-norms, axis=1, kind="stable")
+    v = None
+    if vectors:
+        # cols[b, i] is column i of item b's V
+        cols = np.take_along_axis(x[..., n:], order[..., None], axis=1)
+        v = _pin_phases(cols).transpose(0, 2, 1)
+    return JacobiStack(np.take_along_axis(norms, order, axis=1), v, status, residual)
 
 
 def svd(a) -> SvdResult:
     """Singular values and right singular vectors of a square matrix or a stack.
 
     a is an (n, n) matrix or a (B, n, n) stack, as for numpy.linalg.svd; the
-    result is sigma (n,) and V (n, n), or sigma (B, n) and V (B, n, n).
-    One `_jacobi` call orthogonalizes the columns of every item's [A_i; I],
-    so V's rows ride along under A_i; sigma is the column norms, sorted
-    non-increasing. Each column of V has its phase pinned by `_pin_phases`
-    (its first entry above 1e-12 times its largest made real >= 0), for all
-    items at once. Accurate for small
-    singular values, which is what the shifted-matrix consumers need.
-    Raises DimensionError on a non-square input and NonFiniteError on a NaN
-    or Inf entry. Otherwise the first item, in stack order, that fails
-    raises what svd of that item alone raises: NonFiniteError for a nonzero
-    matrix whose column norms are all below sqrt(TINY) (`_underflows`),
-    ConvergenceError when the sweep budget runs out (residual: the largest
-    coupling left at exit), or NonFiniteError when a singular value is not
-    finite, which happens for entries outside about 1e-145..1e154. The zero
-    matrix has sigma 0.
+    result is sigma (n,) and V (n, n), or sigma (B, n) and V (B, n, n), of
+    one jacobi_svd call with vectors. Accurate for small singular values,
+    which is what the shifted-matrix consumers need. Any other shape raises
+    DimensionError. The first item, in stack order, whose status is not OK
+    raises what svd of that item alone raises: ConvergenceError when the
+    sweep budget runs out (residual: the largest coupling left at exit),
+    else NonFiniteError. The zero matrix has sigma 0.
     """
-    a = as_square_stack(a)
-    n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
-    tiny = _underflows(stack)
-    # the columns of every [A_i; I], laid out as _jacobi rotates them; a
-    # refused item's A part is zeroed, so the core passes over it
-    x = np.empty((len(stack), n, 2 * n), dtype=np.complex128)
-    x[..., :n] = stack.transpose(0, 2, 1)
-    x[tiny, :, :n] = 0.0
-    x[..., n:] = np.eye(n)
-    x, converged, off = _jacobi(x, n)
-    norms = np.sqrt(np.sum(np.abs(x[..., :n]) ** 2, axis=2))
-    failed = tiny | ~converged | ~np.isfinite(norms).all(axis=1)
+    m = np.asarray(a, dtype=np.complex128)
+    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=True)
+    failed = res.status != OK
     if failed.any():
         i = int(np.argmax(failed))
-        if tiny[i]:
-            raise NonFiniteError(
-                "Jacobi SVD refuses a nonzero matrix whose column norms are all "
-                "below about 1.5e-154, where their squares underflow"
-            )
-        if not converged[i]:
-            raise ConvergenceError(
-                f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
-                f"(off-diagonal ratio {off[i]:.3e})",
-                iterations=MAX_JACOBI_SWEEPS,
-                residual=float(off[i]),
-            )
-        raise NonFiniteError(
-            "Jacobi SVD produced a non-finite singular value "
-            "(entries outside about 1e-145..1e154)"
+        if res.status[i] != UNCONVERGED:
+            raise NonFiniteError(_NONFINITE[res.status[i]])
+        raise ConvergenceError(
+            f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
+            f"(off-diagonal ratio {res.residual[i]:.3e})",
+            iterations=MAX_JACOBI_SWEEPS,
+            residual=float(res.residual[i]),
         )
-    order = np.argsort(-norms, axis=1, kind="stable")
-    # cols[b, i] is column i of item b's V
-    cols = np.take_along_axis(x[..., n:], order[..., None], axis=1)
-    return SvdResult(
-        np.take_along_axis(norms, order, axis=1).reshape(a.shape[:-1]),
-        _pin_phases(cols).transpose(0, 2, 1).reshape(a.shape),
-    )
-
-
-def sigma_min_batch(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest singular value of every matrix in a (B, n, n) stack.
-
-    `_jacobi` over the stack's columns, values only (no V); sigma_min is
-    the smallest column norm. Items with a NaN or
-    Inf entry, nonzero items whose column norms are all below sqrt(TINY)
-    (`_underflows`), items with a non-finite sigma_min (entries outside
-    about 1e-145..1e154), and items that still rotate in sweep
-    MAX_JACOBI_SWEEPS are reported unconverged; all but the last with
-    sigma_min NaN.
-    """
-    stack = np.asarray(stack, dtype=np.complex128)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise DimensionError(f"expected a (B, n, n) stack with n >= 1, got {stack.shape}")
-    b, n, _ = stack.shape
-    sigma = np.full(b, np.nan)
-    converged = np.zeros(b, dtype=bool)
-    ok = np.isfinite(stack).all(axis=(1, 2)) & ~_underflows(stack)
-    w, converged[ok], _ = _jacobi(stack[ok].transpose(0, 2, 1), n)
-    sigma[ok] = np.sqrt(np.sum(np.abs(w) ** 2, axis=2)).min(axis=1)
-    bad = ~np.isfinite(sigma)
-    sigma[bad] = np.nan
-    converged[bad] = False
-    return sigma, converged
+    return SvdResult(res.sigma.reshape(m.shape[:-1]), res.v.reshape(m.shape))
 
 
 def rank_with_tol(a, tol: float) -> int:

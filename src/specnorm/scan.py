@@ -1,8 +1,9 @@
 """Complex-plane grid scans of the distance gap.
 
 Both entry points evaluate s(z) = sigma_n(zI - A) at all their shifts with
-spectral.shifted_sigma_min_batch, which runs the batched values-only Jacobi
-kernel kernels.sigma_min_batch, and d(z) with spectral.dist_to_spectrum_batch,
+spectral.shifted_sigma_min_batch, which runs the Jacobi kernel's one entry
+point kernels.jacobi_svd on stacks of shifts for values only and reads each
+shift's status, and d(z) with spectral.dist_to_spectrum_batch,
 one broadcast over the cluster representatives. Both accept a matrix or a
 spectral.Analysis, and take the spectrum from its one Schur form and their
 scale from its ||A||_F; neither factors the matrix any other way. They pass
@@ -53,7 +54,7 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     """Sample s(z), d(z) and their ratio on a closed rectangular grid.
 
     Row-major ordering: the imaginary axis is the slow index. Every node's
-    s(z) comes from one batched values-only Jacobi (kernels.sigma_min_batch)
+    s(z) comes from one batched values-only Jacobi (kernels.jacobi_svd)
     over the stack of Schur-rotated shifted matrices zQ - AQ. Nodes within
     n*EPS*max(1, ||A||_F) of an eigenvalue are flagged and their ratio
     pinned to 1 to avoid 0/0; a node whose Jacobi did not converge, or whose
@@ -111,7 +112,7 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     one draw of 2*n_samples uniforms u, read in pairs: sample i lies at
     radius*sqrt(u[2i]) and angle 2*pi*u[2i+1], the values that drawing r,
     then theta, per sample gives. s(z) comes from one batched values-only
-    Jacobi (kernels.sigma_min_batch) over the stack of zQ - AQ. A shift
+    Jacobi (kernels.jacobi_svd) over the stack of zQ - AQ. A shift
     whose s(z) is not finite (a NaN or Inf entry in zI - A, or a kernel
     overflow or underflow) raises NonFiniteError; a shift on which the
     Jacobi did not converge raises ConvergenceError.

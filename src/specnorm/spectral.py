@@ -5,10 +5,11 @@ singular value of the shifted matrix zI - A. The one-sided bound s(z) <= d(z)
 holds for every square matrix, with equality everywhere exactly when the
 matrix is normal.
 
-Every stack of shifted matrices that goes to the Jacobi kernels is built
-here, by `_shifted_stacks`, as the columns zB - AB = (zI - A)B for a basis B
-with AB formed once per matrix; a minimizing right singular vector v of the
-stack item maps back to x = Bv for zI - A. B is the Schur factor Q when the
+Every stack of shifted matrices that goes to the Jacobi kernel's one entry
+point, kernels.jacobi_svd (with V through kernels.svd), is built here, by
+`_shifted_stacks`, as the columns zB - AB = (zI - A)B for a basis B with AB
+formed once per matrix; a minimizing right singular vector v of the stack
+item maps back to x = Bv for zI - A. B is the Schur factor Q when the
 caller passes an Analysis whose Q meets ||Q*Q - I||_F <= TOL_CERT*n (the
 bound of certify's Normal gate, which reads the same residual). Since
 (zI - A)Q = Q(zI - T) and T is nearly diagonal for a normal or near-normal
@@ -37,8 +38,8 @@ CLUSTER_TOL = 1e-7
 # and ||offdiag(Q*AQ)||_F <= TOL_CERT*scale; the first also decides whether Q
 # is the basis of the shifted columns
 TOL_CERT = 1e-8
-# complex entries per stack of shifted matrices in one kernels.sigma_min_batch
-# or kernels.svd call
+# complex entries per stack of shifted matrices in one kernels.jacobi_svd call
+# (direct, or through kernels.svd)
 STACK_ENTRIES = 1 << 16
 
 
@@ -257,6 +258,7 @@ def shifted_smallest_pair(a, z) -> tuple:
     s = np.empty(zs.size)
     x = np.empty((zs.size, n), dtype=np.complex128)
     for sl, stack in _shifted_stacks(b, ab, zs, 2):
+        # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
         res = kernels.svd(stack)
         v = res.v[:, :, -1]
         s[sl] = res.sigma[:, -1]
@@ -276,14 +278,17 @@ def shifted_sigma_min_batch(a, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s(z) = sigma_n(zI - A) at every z of a 1-D array, with a converged flag per z.
 
     a is a matrix or an Analysis. The stacks of zB - AB go to
-    kernels.sigma_min_batch. A z whose shifted matrix has a NaN or Inf
-    entry, or is refused as out of range, comes back unconverged with s(z)
-    NaN.
+    kernels.jacobi_svd for values only, and a z converged when its status is
+    kernels.OK. A z whose shifted matrix has a NaN or Inf entry, is refused
+    as out of range or has a non-finite singular value comes back
+    unconverged with s(z) NaN.
     """
     s = np.empty(zs.size)
     converged = np.empty(zs.size, dtype=bool)
     for sl, stack in _shifted_stacks(*_basis(a), zs, 1):
-        s[sl], converged[sl] = kernels.sigma_min_batch(stack)
+        res = kernels.jacobi_svd(stack, vectors=False)
+        s[sl] = res.sigma[:, -1]
+        converged[sl] = res.status == kernels.OK
     return s, converged
 
 
@@ -309,6 +314,7 @@ def weyl_bounds_check(m, kappa_weyl: float | None = None) -> WeylReport:
     an = analyze(m)
     if kappa_weyl is None:
         kappa_weyl = KAPPA_WEYL * an.scale
+    # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
     sigma = kernels.svd(an.a).sigma
     eigs = an.schur.eigenvalues
     mods = np.sort(np.abs(eigs))[::-1]

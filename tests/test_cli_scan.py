@@ -29,27 +29,28 @@ PHI_MINUS = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def unconverge_item(monkeypatch, item):
-    """Make kernels.sigma_min_batch report one stack item unconverged."""
-    original = kernels.sigma_min_batch
+    """Make values-only kernels.jacobi_svd calls report one stack item unconverged."""
+    original = kernels.jacobi_svd
 
-    def patched(stack):
-        sigma, converged = original(stack)
-        converged[item] = False
-        return sigma, converged
+    def patched(stack, vectors):
+        res = original(stack, vectors)
+        if not vectors:
+            res.status[item] = kernels.UNCONVERGED
+        return res
 
-    monkeypatch.setattr(kernels, "sigma_min_batch", patched)
+    monkeypatch.setattr(kernels, "jacobi_svd", patched)
 
 
-def count_schur(monkeypatch):
-    """Count kernels.schur calls; the returned dict's "schur" entry grows."""
-    original = kernels.schur
-    calls = {"schur": 0}
+def count_calls(monkeypatch, name):
+    """Count calls of kernels.<name>; the returned dict's name entry grows."""
+    original = getattr(kernels, name)
+    calls = {name: 0}
 
     def counted(a):
-        calls["schur"] += 1
+        calls[name] += 1
         return original(a)
 
-    monkeypatch.setattr(kernels, "schur", counted)
+    monkeypatch.setattr(kernels, name, counted)
     return calls
 
 
@@ -520,10 +521,20 @@ class TestOneAnalysis:
     @pytest.mark.parametrize("kind", ["normal", "ginibre"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_command_runs_one_schur_form(self, command, kind, monkeypatch, capsys):
-        calls = count_schur(monkeypatch)
+        calls = count_calls(monkeypatch, "schur")
         code = main(COMMANDS[command] + ["--kind", kind, "--n", "5", "--seed", "1"])
         assert code in (0, 1)
         assert calls["schur"] == 1
+
+    @pytest.mark.parametrize("kind", ["normal", "ginibre"])
+    def test_weyl_runs_one_svd(self, kind, monkeypatch, capsys):
+        # perfbench's ceiling replays the kernels.svd calls of its workloads,
+        # so weyl's sigma_1 and sigma_n stay one svd call (certify's probe
+        # stack is pinned to one in test_certifier)
+        calls = count_calls(monkeypatch, "svd")
+        code = main(COMMANDS["weyl"] + ["--kind", kind, "--n", "5", "--seed", "1"])
+        assert code == 0
+        assert calls["svd"] == 1
 
     @pytest.mark.parametrize(
         "command, expected",
@@ -540,7 +551,7 @@ class TestOneAnalysis:
     def test_analysis_is_reused(self, monkeypatch):
         an = spectral.analyze(generate_matrix("ginibre", 5, 3))
         assert spectral.analyze(an) is an
-        calls = count_schur(monkeypatch)
+        calls = count_calls(monkeypatch, "schur")
         eigs = an.schur.eigenvalues
         spect = spectral.spectrum_of(an)
         assert calls["schur"] == 1

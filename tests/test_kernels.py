@@ -208,7 +208,7 @@ class TestSvd:
             warnings.simplefilter("error")
             expected = kernels.svd(a).sigma[-1]
             from_svd = kernels.svd(a * factor).sigma[-1] / factor
-            from_batch = kernels.sigma_min_batch((a * factor)[None])[0][0] / factor
+            from_batch = sigma_min_strict((a * factor)[None])[0][0] / factor
         assert from_svd == pytest.approx(expected, rel=1e-14)
         assert from_batch == pytest.approx(expected, rel=1e-14)
 
@@ -235,16 +235,36 @@ class TestUnderflowRefusal:
                 kernels.svd(a * factor)
             with pytest.raises(NonFiniteError, match="underflow"):
                 kernels.rank_with_tol(a * factor, 0.0)
-            sigma, converged = kernels.sigma_min_batch(np.stack([a, a * factor]))
+            sigma, converged = sigma_min_strict(np.stack([a, a * factor]))
         assert converged.tolist() == [True, False]
-        assert sigma[0] == kernels.sigma_min_batch(a[None])[0][0]
+        assert sigma[0] == sigma_min_strict(a[None])[0][0]
         assert np.isnan(sigma[1])
+
+    # sigma_min <= ||A e_j||, so one nonzero column whose squared norm
+    # underflows is enough: the core would read sigma_min 0 or 9.99994e-161
+    @pytest.mark.parametrize("graded", [
+        np.diag([1.0, 1e-170]),
+        np.diag([1.0, 1e-160]),
+        np.diag([1.0, 1.0, 1e-200j]),
+        np.array([[1.0, 1e-170], [0.0, 1e-170]]),
+    ])
+    def test_graded_matrix_raises_and_batch_flags_nan(self, graded):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="underflow"):
+                kernels.svd(graded)
+            with pytest.raises(NonFiniteError, match="underflow"):
+                kernels.rank_with_tol(graded, 0.0)
+            sigma, converged = sigma_min_strict(graded[None])
+        assert converged.tolist() == [False] and np.isnan(sigma[0])
 
     def test_zero_matrix_still_has_sigma_zero(self):
         zero = np.zeros((3, 3), dtype=complex)
         assert kernels.svd(zero).sigma.tolist() == [0.0, 0.0, 0.0]
-        sigma, converged = kernels.sigma_min_batch(zero[None])
+        sigma, converged = sigma_min_strict(zero[None])
         assert converged.tolist() == [True] and sigma.tolist() == [0.0]
+        # a zero column is exact, not an underflow
+        assert kernels.svd(np.diag([1.0, 0.0])).sigma.tolist() == [1.0, 0.0]
 
     def test_stack_raises_for_the_first_failing_item(self, monkeypatch):
         a = 0.5 * np.eye(6) - generate_matrix("ginibre", 6, 2)
@@ -276,13 +296,26 @@ def shifted_stack(a, xs):
     return zs[:, None, None] * np.eye(a.shape[0]) - a
 
 
-def sigma_min_batch_strict(stack):
+def sigma_min_strict(stack):
+    """sigma_min and an OK flag per item from a values-only jacobi_svd, warnings as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return kernels.sigma_min_batch(stack)
+        res = kernels.jacobi_svd(stack, vectors=False)
+    return res.sigma[:, -1], res.status == kernels.OK
+
+
+# what svd of one item raises for each failing status of jacobi_svd
+RAISES = {
+    kernels.NONFINITE_ENTRY: (NonFiniteError, "NaN or Inf"),
+    kernels.UNDERFLOW: (NonFiniteError, "underflow"),
+    kernels.UNCONVERGED: (ConvergenceError, "did not converge"),
+    kernels.NONFINITE_SIGMA: (NonFiniteError, "non-finite singular value"),
+}
 
 
 class TestSigmaMinBatch:
+    # the values-only path of kernels.jacobi_svd, which scan and
+    # check-corollary take for the smallest singular value of a batch
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
     @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
     def test_agrees_with_svd(self, kind, n):
@@ -290,7 +323,7 @@ class TestSigmaMinBatch:
         a = generate_matrix(kind, n, 3, param)
         # the grid passes through 0, the eigenvalue of the Jordan block
         stack = shifted_stack(a, np.linspace(-2, 2, 5))
-        sigma, converged = sigma_min_batch_strict(stack)
+        sigma, converged = sigma_min_strict(stack)
         assert converged.all()
         reference = np.array([kernels.svd(m).sigma[-1] for m in stack])
         scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
@@ -299,31 +332,31 @@ class TestSigmaMinBatch:
     def test_agrees_with_reference(self):
         a = generate_matrix("ginibre", 16, 4)
         stack = shifted_stack(a, np.linspace(-2, 2, 4))
-        sigma, converged = sigma_min_batch_strict(stack)
+        sigma, converged = sigma_min_strict(stack)
         assert converged.all()
         reference = np.linalg.svd(stack, compute_uv=False)[:, -1]
         scale = np.linalg.norm(stack, axis=(1, 2))
         assert (np.abs(sigma - reference) / scale).max() <= 1e-14
 
     def test_zero_stack(self):
-        sigma, converged = sigma_min_batch_strict(np.zeros((3, 4, 4)))
+        sigma, converged = sigma_min_strict(np.zeros((3, 4, 4)))
         assert np.array_equal(sigma, np.zeros(3))
         assert converged.all()
 
-    def test_empty_stack(self):
-        sigma, converged = kernels.sigma_min_batch(np.zeros((0, 5, 5)))
-        assert sigma.shape == (0,) and converged.shape == (0,)
-
     def test_rejects_non_square_stack(self):
         with pytest.raises(DimensionError):
-            kernels.sigma_min_batch(np.zeros((2, 3, 4)))
+            kernels.jacobi_svd(np.zeros((2, 3, 4)), vectors=False)
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(DimensionError):
+            kernels.jacobi_svd(np.zeros((0, 5, 5)), vectors=False)
 
     def test_converges_when_only_lower_triangle_exceeds_tolerance(self):
         # the shifted matrix of TestSvd's case of the same name
         a = generate_matrix("ginibre", 6, 14011)
         xs = np.linspace(-2, 2, 21)
         z = xs[2] + 1j * xs[12]
-        sigma, converged = sigma_min_batch_strict((z * np.eye(6) - a)[None])
+        sigma, converged = sigma_min_strict((z * np.eye(6) - a)[None])
         assert converged[0]
         assert sigma[0] == pytest.approx(0.58017909, abs=1e-8)
 
@@ -335,9 +368,9 @@ class TestSigmaMinBatch:
             shifted_stack(a, np.linspace(-1, 1, 3)),
             np.diag(np.arange(1.0, 7.0))[None],
         ])
-        assert sigma_min_batch_strict(stack)[1].all()
+        assert sigma_min_strict(stack)[1].all()
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
-        sigma, converged = sigma_min_batch_strict(stack)
+        sigma, converged = sigma_min_strict(stack)
         assert converged.tolist() == [False] * 9 + [True]
         assert sigma[-1] == 1.0
 
@@ -345,7 +378,7 @@ class TestSigmaMinBatch:
     def test_out_of_range_entries_are_unconverged(self, factor):
         a = generate_matrix("ginibre", 4, 1) * factor
         with np.errstate(all="ignore"):
-            sigma, converged = kernels.sigma_min_batch(a[None])
+            sigma, converged = sigma_min_strict(a[None])
         assert converged.tolist() == [False]
         assert np.isnan(sigma[0])
 
@@ -357,33 +390,62 @@ class TestSigmaMinBatch:
         param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
         a = generate_matrix(kind, n, 5, param)
         stack = shifted_stack(a, np.linspace(-2, 2, 6))
-        sigma, converged = sigma_min_batch_strict(stack)
+        sigma, converged = sigma_min_strict(stack)
         assert converged.all()
         for i, m in enumerate(stack):
-            assert sigma[i] == kernels.sigma_min_batch(m[None])[0][0]
+            assert sigma[i] == sigma_min_strict(m[None])[0][0]
             assert sigma[i] == kernels.svd(m).sigma[-1]
 
-    def test_mixed_stack_items_are_bit_identical_alone(self):
-        # a NaN item, a diagonal item that converges in sweep 1 and shifted
-        # ginibre items that take several sweeps
+    def test_mixed_stack_items_are_bit_identical_alone(self, monkeypatch):
+        # one item per failing status, a diagonal item that converges in
+        # sweep 1 and shifted ginibre items that take several sweeps, at the
+        # full sweep budget and at 1 sweep, where the ginibre items run out
         a = generate_matrix("ginibre", 5, 6)
         nan_item = np.eye(5, dtype=complex)
         nan_item[2, 3] = np.nan
+        shifted = shifted_stack(a, np.linspace(-1.5, 1.5, 3))
         stack = np.concatenate([
-            shifted_stack(a, np.linspace(-1.5, 1.5, 3))[:4],
+            shifted[:4],
             nan_item[None],
             np.diag(np.arange(1.0, 6.0))[None],
-            shifted_stack(a, np.linspace(-1.5, 1.5, 3))[4:],
+            (a * 1e-170)[None],
+            np.diag([1.0, 2.0, 3.0, 4.0, 1e-170])[None],
+            (a * 1e155)[None],
+            shifted[4:],
         ])
-        sigma, converged = kernels.sigma_min_batch(stack)
-        assert converged.tolist() == [True] * 4 + [False] + [True] * 6
-        assert np.isnan(sigma[4]) and sigma[5] == 1.0
-        for i, m in enumerate(stack):
-            alone, alone_converged = kernels.sigma_min_batch(m[None])
-            assert alone_converged[0] == converged[i]
-            assert np.array_equal(alone, sigma[i : i + 1], equal_nan=True)
-            if i != 4:
-                assert sigma[i] == kernels.svd(m).sigma[-1]
+        for sweeps, shifted_status in ((kernels.MAX_JACOBI_SWEEPS, kernels.OK),
+                                       (1, kernels.UNCONVERGED)):
+            monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", sweeps)
+            with np.errstate(all="ignore"):
+                res = kernels.jacobi_svd(stack, vectors=False)
+                full = kernels.jacobi_svd(stack, vectors=True)
+            assert res.status.tolist() == [shifted_status] * 4 + [
+                kernels.NONFINITE_ENTRY, kernels.OK, kernels.UNDERFLOW,
+                kernels.UNDERFLOW, kernels.NONFINITE_SIGMA,
+            ] + [shifted_status] * 5
+            assert res.v is None and full.v.shape == stack.shape
+            assert np.array_equal(full.sigma, res.sigma, equal_nan=True)
+            assert np.array_equal(full.status, res.status)
+            assert np.array_equal(full.residual, res.residual)
+            # refused and non-finite items read NaN, unconverged ones their
+            # column norms at exit
+            assert np.isnan(res.sigma[4:9:2]).all() and np.isnan(res.sigma[7]).all()
+            assert np.isfinite(res.sigma[:4]).all() and res.sigma[5, -1] == 1.0
+            assert (res.residual[:4] > 0.0).all() == (sweeps == 1)
+            for i, m in enumerate(stack):
+                with np.errstate(all="ignore"):
+                    alone = kernels.jacobi_svd(m[None], vectors=False)
+                assert alone.status[0] == res.status[i]
+                assert alone.residual[0] == res.residual[i]
+                assert np.array_equal(alone.sigma[0], res.sigma[i], equal_nan=True)
+                if res.status[i] == kernels.OK:
+                    assert np.array_equal(kernels.svd(m).sigma, res.sigma[i])
+                    continue
+                error, match = RAISES[res.status[i]]
+                with np.errstate(all="ignore"), pytest.raises(error, match=match) as exc:
+                    kernels.svd(m)
+                if error is ConvergenceError:
+                    assert exc.value.residual == res.residual[i]
 
     def test_exit_residual_is_the_largest_coupling_left(self, monkeypatch):
         a = generate_matrix("ginibre", 6, 2)
@@ -392,10 +454,13 @@ class TestSigmaMinBatch:
             np.diag(np.arange(1.0, 7.0))[None],
         ])
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
-        w, converged, off = kernels._jacobi(stack.transpose(0, 2, 1), 6)
-        assert converged.tolist() == [False] * 9 + [True]
-        assert off[-1] == 0.0
-        for cols, residual in zip(w[:-1], off[:-1]):
+        res = kernels.jacobi_svd(stack, vectors=True)
+        assert res.status.tolist() == [kernels.UNCONVERGED] * 9 + [kernels.OK]
+        assert res.residual[-1] == 0.0
+        # the rotated columns are those of A V (sorted, with pinned phases,
+        # neither of which moves a coupling)
+        for m, v, residual in zip(stack[:-1], res.v[:-1], res.residual[:-1]):
+            cols = (m @ v).T
             norms = [np.linalg.norm(c) for c in cols]
             expected = max(
                 abs(np.vdot(cols[p], cols[q])) / (norms[p] * norms[q])
@@ -404,9 +469,25 @@ class TestSigmaMinBatch:
             assert residual == pytest.approx(expected, rel=1e-12)
             assert residual > 8 * kernels.EPS * 6
 
+    def test_item_with_one_overflowing_column_is_flagged(self, monkeypatch):
+        # column 0 squares to inf and never rotates against the others, so
+        # their smallest norm, 1.034, is not sigma_min (0.1159): the item is
+        # NaN, and unconverged rather than non-finite while the others still
+        # rotate, which is also the order in which svd raises
+        m = generate_matrix("ginibre", 4, 1)
+        m[:, 0] *= 1e155
+        for sweeps, status, error in ((kernels.MAX_JACOBI_SWEEPS, kernels.NONFINITE_SIGMA,
+                                       NonFiniteError), (1, kernels.UNCONVERGED, ConvergenceError)):
+            monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", sweeps)
+            with np.errstate(all="ignore"):
+                res = kernels.jacobi_svd(m[None], vectors=False)
+                assert res.status.tolist() == [status] and np.isnan(res.sigma).all()
+                with pytest.raises(error):
+                    kernels.svd(m)
+
     def test_nonfinite_item_is_unconverged(self):
         stack = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
-        sigma, converged = kernels.sigma_min_batch(stack)
+        sigma, converged = sigma_min_strict(stack)
         assert converged.tolist() == [True, False]
         assert sigma[0] == 1.0 and np.isnan(sigma[1])
 
@@ -415,8 +496,8 @@ class TestSvdStack:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
     @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
     def test_items_are_bit_identical_alone(self, kind, n):
-        # sigma of each item equals svd and sigma_min_batch of the item alone,
-        # and so does its V
+        # sigma of each item equals svd and the values-only jacobi_svd of the
+        # item alone, and so does its V
         param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
         a = generate_matrix(kind, n, 7, param)
         stack = shifted_stack(a, np.linspace(-2, 2, 4))
@@ -425,7 +506,7 @@ class TestSvdStack:
         for i, m in enumerate(stack):
             alone = kernels.svd(m)
             assert np.array_equal(res.sigma[i], alone.sigma)
-            assert res.sigma[i, -1] == kernels.sigma_min_batch(m[None])[0][0]
+            assert res.sigma[i, -1] == sigma_min_strict(m[None])[0][0]
             assert np.array_equal(res.v[i], alone.v)
 
     def test_items_satisfy_the_svd_relations(self):

@@ -164,6 +164,15 @@ class TestShiftedSmallestSingular:
         with pytest.raises(NonFiniteError, match="underflow"):
             shifted_smallest_singular(factor * np.eye(3), 0.0)
 
+    def test_graded_underflowing_shift_raises_nonfinite(self):
+        # only the second column of zI - A underflows when squared, which
+        # the Jacobi core would read as s(z) = 0
+        a = np.diag([2.0, 1e-170])
+        with pytest.raises(NonFiniteError, match="underflow"):
+            shifted_smallest_singular(a, 1e-171)
+        s, converged = spectral.shifted_sigma_min_batch(a, np.array([1e-171, 1.0]))
+        assert converged.tolist() == [False, True] and np.isnan(s[0])
+
 
 class TestGap:
     def test_normal_zero_gap(self):
