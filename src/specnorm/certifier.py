@@ -263,6 +263,14 @@ def recheck_witness(a, cert: NormalityCertificate) -> float:
     return float(np.linalg.norm(cert.witness.z * x - a @ x))
 
 
+def _residual_gate(name: str, value: float, bound: float) -> None:
+    if value > bound:
+        raise IndeterminateError(
+            f"probes passed but the Schur eigenbasis {name} residual "
+            f"{value:.3e} exceeds its bound {bound:.3e}"
+        )
+
+
 def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     """Full probe pipeline deciding normality of a matrix or an Analysis.
 
@@ -279,6 +287,8 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     probe columns are those of (zI - A)Q = zQ - AQ, nearly orthogonal for a
     normal or near-normal matrix, so the Jacobi needs few sweeps, and the
     witness vector is x = Qv; otherwise they are the columns of zI - A.
+    The unitarity gate is checked first, so the off-diagonal residual reads
+    the same AQ and no certify forms it twice.
     Either way they are formed from A, and Q only rotates: s moves by at
     most ||zI - A||_2 ||Q*Q - I||_2, and recheck_witness checks x against A
     itself. Kernel non-convergence or a residual over its bound raises
@@ -331,18 +341,12 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             config_echo=config_echo,
             witness_vector=x[k],
         )
-    u = an.schur.q
     unitarity = an.unitarity
-    diagonalization = offdiag_frobenius(u.conj().T @ a @ u)
-    for name, value, bound in (
-        ("unitarity", unitarity, TOL_CERT * n),
-        ("off-diagonal", diagonalization, TOL_CERT * an.scale),
-    ):
-        if value > bound:
-            raise IndeterminateError(
-                f"probes passed but the Schur eigenbasis {name} residual "
-                f"{value:.3e} exceeds its bound {bound:.3e}"
-            )
+    _residual_gate("unitarity", unitarity, TOL_CERT * n)
+    # Q passed the bound that makes (Q, AQ) the Analysis's basis
+    u, au = an.basis
+    diagonalization = offdiag_frobenius(u.conj().T @ au)
+    _residual_gate("off-diagonal", diagonalization, TOL_CERT * an.scale)
     return NormalityCertificate(
         verdict="Normal",
         evidence=evidence,

@@ -13,6 +13,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import certifier, generators, io, scan as scanmod, spectral
 from .errors import IndeterminateError, SpecnormError
 
@@ -196,7 +198,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        # every kernel refuses a non-finite result by itself, so numpy's
+        # floating-point warnings would only add lines to the one message
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except IndeterminateError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE

@@ -4,6 +4,13 @@ Self-contained factorizations for desk-scale matrices: Householder QR and
 Hessenberg reduction (one reflector) plus shifted-QR Schur form, one-sided
 Jacobi singular values (sigma and V of a square matrix, no U), rank at
 tolerance, and modified Gram-Schmidt.
+The Hessenberg reduction and the Schur form keep Q and H in one (2n, n)
+array, Q on top of H, so a transform from the right updates both factors in
+one numpy call: a reflector's rank-one update of the buffer's columns, and a
+QR step's 2x2 rotation of two columns over the buffer's leading rows. The
+rotations' coefficients are Python complex scalars, computed with the same
+roundings as numpy's (the C library's hypot, a division by r taken as a
+product with 1/r), so Q and T are those of the separate products.
 Every singular value comes from one one-sided Jacobi core, `_jacobi`, over a
 stack of column sets. Its sweeps follow a round-robin ordering (Brent & Luk
 1985): the n(n-1)/2 column pairs fall into n-1 steps (n for odd n) of
@@ -39,6 +46,8 @@ called on any production path.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,42 +136,72 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q, np.triu(r)
 
 
-def hessenberg(a) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary reduction A = Q H Q* with H upper Hessenberg."""
+def hessenberg(a) -> np.ndarray:
+    """Unitary reduction A = Q H Q* with H upper Hessenberg, in one buffer.
+
+    Returns a (2n, n) array qh with Q = qh[:n] stacked on H = qh[n:]. A
+    reflector P = I - 2vv* multiplies H from the left, and Q and H from the
+    right; the right-hand product is one update of qh's columns, since QP
+    and HP share the factor P. Entries of H below the first subdiagonal are
+    exact zeros.
+    """
     a = as_square(a)
     n = a.shape[0]
-    h = a.copy()
-    q = np.eye(n, dtype=np.complex128)
+    qh = np.concatenate((np.eye(n, dtype=np.complex128), a))
+    h = qh[n:]
+    # as a (2, n, n) stack, the product with v is one call of two n-row
+    # matrix-vector products: OpenBLAS threads a product of 4096 or more
+    # entries, which one 2n-row product reaches from n = 46 on and two
+    # n-row ones only from n = 65 on; a threaded product this small stalls
+    # whenever the other core is busy
+    stack = qh.reshape(2, n, n)
     for k in range(n - 2):
         v = _reflector(h[k + 1 :, k])
         if v is None:
             continue
         h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+        qh[:, k + 1 :] -= 2.0 * np.outer(stack[:, :, k + 1 :] @ v, v.conj())
     # entries below the first subdiagonal are reflection round-off
     for j in range(n - 2):
         h[j + 2 :, j] = 0.0
-    return q, h
+    return qh
 
 
 @dataclass
 class SchurResult:
-    """Complex Schur form A = Q T Q* with eigenvalues on diag(T)."""
+    """Complex Schur form A = Q T Q* with eigenvalues on diag(T).
+
+    iterations counts the shifted QR iterations run, and exceptional_shifts
+    those of them that took the exceptional shift.
+    """
 
     q: np.ndarray
     t: np.ndarray
     eigenvalues: np.ndarray
+    iterations: int
+    exceptional_shifts: int
+
+
+def _cabs(z: complex) -> float:
+    """|z| of a Python complex, as numpy's abs gives it: the C library's hypot.
+
+    The builtin abs raises OverflowError where |z| exceeds the float range;
+    this returns inf there, as numpy does.
+    """
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _wilkinson_shift(a: complex, b: complex, c: complex, d: complex) -> complex:
     """Eigenvalue of [[a, b], [c, d]] closest to d."""
     tr = a + d
     det = a * d - b * c
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
+    disc = cmath.sqrt(tr * tr - 4.0 * det)
     r1 = (tr + disc) / 2.0
     r2 = (tr - disc) / 2.0
-    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
+    return r1 if _cabs(r1 - d) <= _cabs(r2 - d) else r2
 
 
 def schur(a) -> SchurResult:
@@ -173,12 +212,23 @@ def schur(a) -> SchurResult:
     An exceptional shift is injected every 10 stagnant iterations, and at
     most MAX_QR_ITERS_PER_N * n iterations run. A 1x1 matrix runs none:
     Q = [[1]] and T = A.
+    The result counts the iterations and the exceptional shifts among them.
+    Q and H stay in `hessenberg`'s one (2n, n) buffer, Q on top. A step's
+    rotation of columns i, i+1 from the right touches all of Q and rows
+    0..i+1 of H (below them the left rotations have zeroed both columns,
+    up to a round-off that stays out of the product), which are the
+    buffer's first n + i + 2 rows, so each rotation is one product on one
+    slice. Each rotation is built from Python complex scalars as one array
+    with 1/r folded in, and the shift goes on and off H's diagonal through
+    one strided view.
     """
     a = as_square(a)
     n = a.shape[0]
     max_iters = MAX_QR_ITERS_PER_N * n
     anorm = frob(a)
-    q, h = hessenberg(a)
+    qh = hessenberg(a)
+    h = qh[n:]
+    diag = h.reshape(-1)[:: n + 1]
 
     def negligible(i: int) -> bool:
         thresh = EPS * (abs(h[i - 1, i - 1]) + abs(h[i, i]))
@@ -188,6 +238,7 @@ def schur(a) -> SchurResult:
 
     m = n - 1
     iters = 0
+    exceptional = 0
     stagnant = 0
     while m > 0:
         if negligible(m):
@@ -212,35 +263,31 @@ def schur(a) -> SchurResult:
             h[low, low - 1] = 0.0
         if stagnant % 10 == 0:
             # deterministic exceptional shift to break symmetric cycling
+            exceptional += 1
             mu = h[m, m] + 0.75 * abs(h[m, m - 1])
         else:
-            mu = _wilkinson_shift(
-                h[m - 1, m - 1], h[m - 1, m], h[m, m - 1], h[m, m]
-            )
-        for i in range(low, m + 1):
-            h[i, i] -= mu
-        rotations = []
+            (hmm, hmn), (hnm, hnn) = h[m - 1 : m + 1, m - 1 : m + 1].tolist()
+            mu = _wilkinson_shift(hmm, hmn, hnm, hnn)
+        diag[low : m + 1] -= mu
+        coeffs = []
         for i in range(low, m):
-            x0 = h[i, i]
-            x1 = h[i + 1, i]
-            r = float(np.hypot(abs(x0), abs(x1)))
-            if r == 0.0:
-                g = np.eye(2, dtype=np.complex128)
-            else:
-                g = np.array(
-                    [[np.conj(x0), np.conj(x1)], [-x1, x0]], dtype=np.complex128
-                )
-                g /= r
-            h[i : i + 2, i:] = g @ h[i : i + 2, i:]
-            rotations.append(g)
-        for idx, i in enumerate(range(low, m)):
-            gc = rotations[idx].conj().T
-            h[: i + 2, i : i + 2] = h[: i + 2, i : i + 2] @ gc
-            q[:, i : i + 2] = q[:, i : i + 2] @ gc
-        for i in range(low, m + 1):
-            h[i, i] += mu
+            x0, x1 = h[i : i + 2, i].tolist()
+            r = _cabs(complex(_cabs(x0), _cabs(x1)))
+            # x1 is a subdiagonal the deflation test kept, so r is 0 only
+            # where NaN entries defeat that test; the identity then stands in
+            c0, c1 = (x0 * (1.0 / r), x1 * (1.0 / r)) if r != 0.0 else (1.0, 0.0)
+            g = np.array([[c0.conjugate(), c1.conjugate()], [-c1, c0]], dtype=complex)
+            rows = h[i : i + 2, i:]
+            rows[...] = g @ rows
+            coeffs.append((c0, c1))
+        for i, (c0, c1) in enumerate(coeffs, start=low):
+            # g's conjugate transpose, on Q and H at once
+            gc = np.array([[c0, -c1.conjugate()], [c1, c0.conjugate()]], dtype=complex)
+            cols = qh[: n + i + 2, i : i + 2]
+            cols[...] = cols @ gc
+        diag[low : m + 1] += mu
     t = np.triu(h)
-    return SchurResult(q, t, np.diag(t).copy())
+    return SchurResult(qh[:n].copy(), t, np.diag(t).copy(), iters, exceptional)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,23 @@ class TestCertify:
         assert "off-diagonal residual" in str(exc.value)
         assert f"bound {bound:.3e}" in str(exc.value)
 
+    def test_non_unitary_schur_factor_fails_the_unitarity_gate(self, monkeypatch):
+        # a Schur factor off by 1e-6 in scale misses the unitarity bound, so
+        # the probes run on zI - A, pass, and the unitarity gate refuses it
+        # before the off-diagonal residual needs AQ
+        original = kernels.schur
+
+        def stretched(a):
+            res = original(a)
+            res.q = res.q * (1.0 + 1e-6)
+            return res
+
+        monkeypatch.setattr(kernels, "schur", stretched)
+        with pytest.raises(IndeterminateError) as exc:
+            certify(generate_matrix("normal", 4, 1))
+        assert "unitarity residual" in str(exc.value)
+        assert f"bound {certifier.TOL_CERT * 4:.3e}" in str(exc.value)
+
     def test_structural_consequences_on_pass_path(self):
         a = generate_matrix("normal", 5, 37)
         spect = spectrum_of(a)

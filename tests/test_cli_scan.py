@@ -426,6 +426,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: region bounds must be finite\n"
 
+    @pytest.mark.parametrize("command, line", [
+        ("weyl", "error: Jacobi SVD produced a non-finite singular value "
+         "(entries outside about 1e-145..1e154)"),
+        ("certify", "indeterminate: kernel did not converge: shifted QR did not "
+         "converge after 120 iterations (trailing subdiagonal nan)"),
+        ("check-corollary", "indeterminate: kernel did not converge: shifted QR did "
+         "not converge after 120 iterations (trailing subdiagonal nan)"),
+        ("scan", "error: shifted QR did not converge after 120 iterations "
+         "(trailing subdiagonal nan)"),
+    ], ids=["weyl", "certify", "check-corollary", "scan"])
+    def test_out_of_range_matrix_prints_one_line(self, command, line, tmp_path, capsys):
+        # the kernels overflow on the way to their refusal; numpy's warnings
+        # about it must not reach the user, only the refusal itself
+        path = tmp_path / "big.json"
+        snio.write_matrix(path, generate_matrix("ginibre", 4, 1) * 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(COMMANDS[command] + ["--input", str(path)])
+        assert code == (2 if line.startswith("indeterminate") else 3)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
     @pytest.mark.parametrize("command", ["certify", "check-corollary"])
     @pytest.mark.parametrize(
         "option", ["--tol-eq=nan", "--tol-eq=-1", "--cluster-tol=inf", "--probe-angle=nan"]

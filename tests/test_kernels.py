@@ -111,6 +111,148 @@ class TestSchur:
         assert exc.value.iterations == 8
 
 
+# the constant c of the Schur and Hessenberg bounds below; the largest ratio
+# measured over these kinds and sizes (seeds 0-5) is about 3
+SCHUR_C = 10.0
+
+
+def reference_schur(a):
+    """The Schur form with H and Q in separate arrays, on numpy scalars.
+
+    The loop version of kernels.hessenberg and kernels.schur: the same
+    reflectors, shifts, deflation and rotations, one product per factor.
+    Returns (Q, T, iterations, exceptional shifts).
+    """
+    n = a.shape[0]
+    h = a.astype(complex)
+    q = np.eye(n, dtype=complex)
+    for k in range(n - 2):
+        v = kernels._reflector(h[k + 1 :, k])
+        if v is None:
+            continue
+        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
+        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
+        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+    for j in range(n - 2):
+        h[j + 2 :, j] = 0.0
+    anorm = np.linalg.norm(a)
+
+    def negligible(i):
+        thresh = kernels.EPS * (abs(h[i - 1, i - 1]) + abs(h[i, i]))
+        return abs(h[i, i - 1]) <= (thresh if thresh else kernels.EPS * anorm)
+
+    m, iters, exceptional, stagnant = n - 1, 0, 0, 0
+    while m > 0:
+        if negligible(m):
+            h[m, m - 1] = 0.0
+            m, stagnant = m - 1, 0
+            continue
+        iters += 1
+        stagnant += 1
+        low = m
+        while low > 0 and not negligible(low):
+            low -= 1
+        if low > 0:
+            h[low, low - 1] = 0.0
+        if stagnant % 10 == 0:
+            exceptional += 1
+            mu = h[m, m] + 0.75 * abs(h[m, m - 1])
+        else:
+            tr = h[m - 1, m - 1] + h[m, m]
+            det = h[m - 1, m - 1] * h[m, m] - h[m - 1, m] * h[m, m - 1]
+            disc = np.sqrt(complex(tr * tr - 4.0 * det))
+            r1, r2 = (tr + disc) / 2.0, (tr - disc) / 2.0
+            mu = r1 if abs(r1 - h[m, m]) <= abs(r2 - h[m, m]) else r2
+        for i in range(low, m + 1):
+            h[i, i] -= mu
+        rotations = []
+        for i in range(low, m):
+            x0, x1 = h[i, i], h[i + 1, i]
+            g = np.array([[np.conj(x0), np.conj(x1)], [-x1, x0]])
+            g /= np.hypot(abs(x0), abs(x1))
+            h[i : i + 2, i:] = g @ h[i : i + 2, i:]
+            rotations.append(g)
+        for i, g in zip(range(low, m), rotations):
+            h[: i + 2, i : i + 2] = h[: i + 2, i : i + 2] @ g.conj().T
+            q[:, i : i + 2] = q[:, i : i + 2] @ g.conj().T
+        for i in range(low, m + 1):
+            h[i, i] += mu
+    return q, np.triu(h), iters, exceptional
+
+
+class TestSchurSharedBuffer:
+    """Bounds and counts of the Schur form whose Q and H share one array."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize(
+        "kind", ["normal", "ginibre", "near_normal", "hermitian", "unitary"]
+    )
+    def test_bit_identical_to_separate_factors(self, kind, n):
+        # the shared buffer changes which numpy calls run, not the arithmetic
+        a = generate_matrix(kind, n, 3, 1e-3 if kind == "near_normal" else None)
+        q, t, iters, exceptional = reference_schur(a)
+        res = kernels.schur(a)
+        assert np.array_equal(res.q, q) and np.array_equal(res.t, t)
+        assert (res.iterations, res.exceptional_shifts) == (iters, exceptional)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
+    @pytest.mark.parametrize("kind", ["normal", "ginibre", "jordan", "near_normal"])
+    def test_residual_bounds(self, kind, n):
+        a = generate_matrix(kind, n, n, 1e-3 if kind == "near_normal" else None)
+        eps_n = n * kernels.EPS
+        anorm = np.linalg.norm(a)
+        res = kernels.schur(a)
+        assert np.linalg.norm(a - res.q @ res.t @ res.q.conj().T) <= SCHUR_C * eps_n * anorm
+        assert unitarity_defect(res.q) <= SCHUR_C * eps_n
+        assert np.array_equal(res.t, np.triu(res.t))
+        assert np.array_equal(res.eigenvalues, np.diag(res.t))
+        qh = kernels.hessenberg(a)
+        assert qh.shape == (2 * n, n)
+        q, h = qh[:n], qh[n:]
+        assert np.all(np.tril(h, -2) == 0.0)
+        assert np.linalg.norm(a - q @ h @ q.conj().T) <= SCHUR_C * eps_n * anorm
+        assert unitarity_defect(q) <= SCHUR_C * eps_n
+
+    def test_split_at_the_top_of_the_active_block(self):
+        # block upper triangular: H keeps an exact zero at (3, 2), so the QR
+        # steps of the trailing block start at low = 3 and no rotation
+        # crosses the split, which leaves Q exactly block diagonal
+        rng = np.random.default_rng(7)
+        b1, b2, c = (random_complex(rng, 3, 3) for _ in range(3))
+        a = np.block([[b1, c], [np.zeros((3, 3)), b2]])
+        res = kernels.schur(a)
+        assert res.iterations > 0
+        assert np.all(res.q[:3, 3:] == 0.0) and np.all(res.q[3:, :3] == 0.0)
+        expected = np.concatenate([oracles.eig3x3(b1), oracles.eig3x3(b2)])
+        assert oracles.match_multisets(res.eigenvalues, expected) < 1e-12
+        eps_n = 6 * kernels.EPS
+        assert np.linalg.norm(a - res.q @ res.t @ res.q.conj().T) <= (
+            SCHUR_C * eps_n * np.linalg.norm(a)
+        )
+        assert unitarity_defect(res.q) <= SCHUR_C * eps_n
+
+    def test_cyclic_shift_takes_the_exceptional_shift(self):
+        # the Wilkinson shift stagnates on the cyclic permutation for ten
+        # iterations; the eleventh takes the exceptional shift and converges
+        c = np.roll(np.eye(3), 1, axis=1).astype(complex)
+        res = kernels.schur(c)
+        assert (res.iterations, res.exceptional_shifts) == (11, 1)
+        roots = np.exp(2j * np.pi * np.arange(3) / 3)
+        assert oracles.match_multisets(res.eigenvalues, roots) < 1e-12
+
+    def test_schur_runs_hessenberg_once(self, monkeypatch):
+        original = kernels.hessenberg
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(kernels, "hessenberg", counted)
+        kernels.schur(generate_matrix("ginibre", 8, 1))
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_round_robin_meets_every_pair_once_per_sweep(n):
     steps = kernels._round_robin(n)
