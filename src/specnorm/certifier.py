@@ -2,7 +2,10 @@
 
 One probe point is placed next to each distinct eigenvalue; if the shifted
 smallest singular value equals the distance to the spectrum at every probe,
-the matrix is normal. A failing probe is itself a nonnormality witness. The
+the matrix is normal. A failing probe is itself a nonnormality witness: the
+test is one-sided, ||(zI - A)x|| >= s(z) for every unit x and s(z) <= d(z),
+so a unit x with ||(zI - A)x|| below d(z) - tol_eq decides Nonnormal, and
+certify stops the probe Jacobi as soon as one appears. The
 certificate of a Normal verdict is the unitary factor Q of the Schur form
 A = Q T Q* that also gave the spectrum: T is diagonal for a normal matrix, so
 Q is an orthonormal eigenbasis, checked by ||Q*Q - I||_F and by
@@ -42,12 +45,16 @@ class Probe:
 
 @dataclass
 class ProbeEvidence:
+    """The test at one probe. When converged is False, s is ||(zI - A)x|| for
+    a unit x, an upper bound on sigma_n(zI - A), and gap a lower bound."""
+
     z: complex
     lam: complex
     d: float
     s: float
     gap: float
     passed: bool
+    converged: bool = True
 
 
 @dataclass
@@ -73,9 +80,12 @@ class NormalityCertificate:
     eigenbasis: np.ndarray | None
     residuals: Residuals
     config_echo: dict
-    # Nonnormal only: a unit minimizing right singular vector x of zI - A at
-    # the witness probe z, so A + (zI - A)x x* has z as an eigenvalue
+    # Nonnormal only: a unit x with ||(zI - A)x|| = the witness's s >= s(z)
+    # at the witness probe z, so A + (zI - A)x x* has z as an eigenvalue
     witness_vector: np.ndarray | None = None
+    # the sweeps of the probe Jacobi: where it stopped at a witness, or where
+    # its last item converged (the largest over its stacks, if several)
+    jacobi_sweeps: int = 0
 
 
 @dataclass
@@ -132,17 +142,35 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     return probes
 
 
-def probe_evidence(z: complex, lam: complex, s: float, tol_eq: float) -> ProbeEvidence:
+def probe_evidence(
+    z: complex, lam: complex, s: float, tol_eq: float, converged: bool = True
+) -> ProbeEvidence:
     """Evidence at probe z of eigenvalue lambda, given s = sigma_n(zI - A).
 
-    d = |z - lambda|, and the probe passes when d - s <= tol_eq.
+    d = |z - lambda|, and the probe passes when d - s <= tol_eq. Unconverged,
+    s is an upper bound on sigma_n(zI - A).
     """
     d = abs(complex(z) - complex(lam))
     g = d - s
     return ProbeEvidence(
         z=complex(z), lam=complex(lam), d=float(d), s=float(s),
-        gap=float(g), passed=bool(g <= tol_eq),
+        gap=float(g), passed=bool(g <= tol_eq), converged=bool(converged),
     )
+
+
+def witness_bound(d: float, tol_eq: float) -> float:
+    """A bound b such that any s < b fails the test at a probe at distance d.
+
+    b = (d - tol_eq) - 4*EPS*d. With u = EPS/2 and rounding to nearest, the
+    two subtractions err by at most u*d each, so b < d - tol_eq - 5u*d and
+    s < b gives d - s > tol_eq + 5u*d exactly. When tol_eq <= d that is more
+    than twice the spacing of floats at tol_eq (at most 2u*tol_eq), so
+    d - s also rounds to above tol_eq; when tol_eq > d, b < 0 and no s >= 0
+    is below it. So a column norm below b fails the probe in
+    probe_evidence's own arithmetic, not only in exact arithmetic, where
+    d - tol_eq alone would do.
+    """
+    return d - tol_eq - 4.0 * EPS * d
 
 
 def criterion_holds(a, probe: tuple[complex, complex], tol_eq: float) -> ProbeEvidence:
@@ -277,10 +305,19 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     Schur -> cluster -> probe placement -> the equality test at every
     probe, from one spectral.shifted_smallest_pair call over all probe
     shifts (one stacked kernels.svd while the stack fits in
-    spectral.STACK_ENTRIES). When probes fail, the first is the witness and
-    its minimizing right singular vector, from the same stack, is the
-    witness_vector. On a clean pass the Schur vectors are attached as the
-    eigenbasis once they meet the residual bounds
+    spectral.STACK_ENTRIES). The call carries each probe's witness_bound,
+    so the Jacobi stops after the first sweep that leaves a probe still
+    rotating with a column norm below it: that probe fails, whatever more
+    sweeps would give, because a column norm is ||(zI - A)x|| for a unit x
+    and so at least s(z). The probes still rotating then are not converged; their s is an
+    upper bound and their gap a lower bound. A stack with no such column
+    runs to convergence exactly as without bounds. When probes fail, the
+    lowest-index one at the sweep where the stack stopped (which can differ
+    from the first failing probe of a converged stack) is the witness, and
+    its x, from the same stack, is the witness_vector, with
+    ||(zI - A)x|| = s, up to round-off. jacobi_sweeps records that sweep.
+    On a clean pass every probe has converged, and the Schur vectors are
+    attached as the eigenbasis once they meet the residual bounds
     ||U*U - I||_F <= TOL_CERT*n and ||offdiag(U*AU)||_F <= TOL_CERT*scale.
     The unitarity residual is the Analysis's own, computed once: it also
     decides the basis of the probe stack. When it meets its bound, the
@@ -320,14 +357,20 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     try:
         spectrum = spectral.spectrum_of(an, cluster_tol)
         probes = select_probes(spectrum, config.probe_angle)
-        s, x = spectral.shifted_smallest_pair(an, np.array([p.z for p in probes]))
+        reps = spectrum.representatives
+        lams = [complex(reps[p.cluster_index]) for p in probes]
+        # d as probe_evidence computes it
+        bound = [witness_bound(abs(p.z - lam), tol_eq) for p, lam in zip(probes, lams)]
+        pair = spectral.shifted_smallest_pair(
+            an, np.array([p.z for p in probes]), bound=np.array(bound)
+        )
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
-    reps = spectrum.representatives
     evidence = [
-        probe_evidence(p.z, reps[p.cluster_index], s_k, tol_eq)
-        for p, s_k in zip(probes, s)
+        probe_evidence(p.z, lam, s_k, tol_eq, ok)
+        for p, lam, s_k, ok in zip(probes, lams, pair.s, pair.converged)
     ]
+    jacobi_sweeps = max(pair.sweeps.tolist())
     commutator = commutator_normality_oracle(a)
     failing = [k for k, e in enumerate(evidence) if not e.passed]
     if failing:
@@ -339,7 +382,8 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             eigenbasis=None,
             residuals=Residuals(commutator=commutator),
             config_echo=config_echo,
-            witness_vector=x[k],
+            jacobi_sweeps=jacobi_sweeps,
+            witness_vector=pair.x[k],
         )
     unitarity = an.unitarity
     _residual_gate("unitarity", unitarity, TOL_CERT * n)
@@ -358,6 +402,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             diagonalization=float(diagonalization),
         ),
         config_echo=config_echo,
+        jacobi_sweeps=jacobi_sweeps,
     )
 
 
@@ -381,6 +426,7 @@ def certificate_to_dict(cert: NormalityCertificate, a) -> dict:
             "s": e.s,
             "gap": e.gap,
             "passed": e.passed,
+            "converged": e.converged,
         }
 
     doc = {
@@ -393,6 +439,7 @@ def certificate_to_dict(cert: NormalityCertificate, a) -> dict:
             "diagonalization": cert.residuals.diagonalization,
         },
         "tolerances": cert.config_echo,
+        "jacobi_sweeps": cert.jacobi_sweeps,
         "matrix_hash": matrix_hash(a),
     }
     if cert.eigenbasis is not None:

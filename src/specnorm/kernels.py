@@ -22,7 +22,13 @@ complex coefficient of the rotation (the columns differ from a real-sine
 rotation's only by unit phases, which `jacobi_svd`'s phase pinning on V
 absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
-columns.
+columns. A per-item bound stops the core early: after the first sweep that
+leaves an item still rotating with a column norm below its bound, the items
+still rotating are STOPPED, not converged. Any column norm is ||A_i v|| for
+a unit v, so it bounds sigma_min from above, and a caller that only needs to
+know whether sigma_min is below a threshold (the certifier's nonnormality
+witness) has its answer; a stack in which no norm falls below its bound runs
+as without one, bit for bit.
 `jacobi_svd`, the core's one entry point, runs it once on the columns of
 every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
 (no U: nothing reads it), and reports a status per item instead of raising;
@@ -300,11 +306,15 @@ class SvdResult:
     """Singular values and right singular vectors of a square matrix A.
 
     sigma is sorted non-increasing and V is unitary; column i of A V is
-    orthogonal to the others and has norm sigma[i].
+    orthogonal to the others and has norm sigma[i]. converged is False, per
+    item, where a bound stopped the sweeps first: sigma is then the column
+    norms of A V, not yet orthogonal, and sweeps counts the sweeps run.
     """
 
     sigma: np.ndarray
     v: np.ndarray
+    converged: np.ndarray | bool = True
+    sweeps: np.ndarray | None = None
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +345,18 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(steps)
 
 
-def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _squared_column_norms(h: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns h[..., j, :]: the one formula sigma is read from.
+
+    np.add.reduce and np.square are what np.sum and ** 2 call, without their
+    Python-level dispatch, which the per-sweep check in `_jacobi` would pay.
+    """
+    return np.add.reduce(np.square(np.abs(h)), axis=-1)
+
+
+def _jacobi(
+    x: np.ndarray, rows: int, bound: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
     """One-sided Jacobi over a (B, n, L) stack of column sets.
 
     x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
@@ -360,9 +381,21 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     denominator is |apq| + 1 instead of |apq| and their t is 0, so cs = 1
     and s = 0.
     An item has converged when a sweep rotates nothing in it; it then leaves
-    the working set. Returns the rotated stack, the converged flags and, per
-    item, the residual: 0 for a converged item, and for an item still
-    rotating when MAX_JACOBI_SWEEPS ran out, the largest coupling
+    the working set.
+    With a bound (one float per item), each sweep that leaves items still
+    rotating ends with a check: if one of them has a column whose norm (over
+    the first `rows` entries, as `_squared_column_norms` and a square root
+    give it, which is how `jacobi_svd` reads sigma) is below its bound, the
+    core stops. Each column is the image of a unit vector, so its norm is an
+    upper bound on the item's smallest singular value. The check only reads
+    the columns, so a stack in which no norm falls below its bound runs
+    exactly as without one. Converged items are final and are not checked,
+    and neither is an item whose zeroed columns `jacobi_svd` refused, since
+    it rotates nothing and converges in the first sweep.
+    Returns the rotated stack, the converged flags, per item the residual
+    and the sweeps it took part in, and whether a bound stopped the core.
+    The residual is 0 for a converged or stopped item, and for an item
+    still rotating when MAX_JACOBI_SWEEPS ran out, the largest coupling
     |<w_p, w_q>|/(||w_p|| ||w_q||) over the first `rows` entries left in its
     returned columns. Entries outside about 1e-145..1e154 give non-finite
     columns; `jacobi_svd` flags those.
@@ -373,11 +406,15 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     steps = _round_robin(n)
     converged = np.zeros(b, dtype=bool)
     off = np.zeros(b)
+    sweeps = np.zeros(b, dtype=np.int64)
     live = np.arange(b)
     work = w
-    for _ in range(MAX_JACOBI_SWEEPS):
-        if live.size == 0:
-            break
+    # the bound of each live item, against each of its columns
+    limit = None if bound is None else bound[:, None]
+    sweep = 0
+    stopped = False
+    while live.size and sweep < MAX_JACOBI_SWEEPS:
+        sweep += 1
         moved = np.zeros(live.size, dtype=bool)
         for p, q in steps:
             wp = work[:, p]
@@ -408,11 +445,22 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             work[:, q] = s * wp + cs * wq
         done = ~moved
         if done.any():
-            converged[live[done]] = True
-            w[live[done]] = work[done]
+            left = live[done]
+            converged[left] = True
+            sweeps[left] = sweep
+            w[left] = work[done]
             live, work = live[~done], work[~done]
+            if bound is not None:
+                limit = limit[~done]
+        if bound is not None and live.size:
+            norms = np.sqrt(_squared_column_norms(work[..., :rows]))
+            if np.count_nonzero(norms < limit):
+                stopped = True
+                break
     if live.size:
+        sweeps[live] = sweep
         w[live] = work
+    if live.size and not stopped:
         h = work[..., :rows]
         gram = h.conj() @ h.transpose(0, 2, 1)
         norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
@@ -420,11 +468,12 @@ def _jacobi(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         scale = norms[:, p] * norms[:, q]
         ratio = np.abs(gram[:, p, q]) / np.where(scale > 0.0, scale, np.inf)
         off[live] = ratio.max(axis=1, initial=0.0)
-    return w, converged, off
+    return w, converged, off, sweeps, stopped
 
 
-# per-item status of jacobi_svd, in the order it checks an item
-OK, NONFINITE_ENTRY, UNDERFLOW, UNCONVERGED, NONFINITE_SIGMA = range(5)
+# per-item status of jacobi_svd: the failures in the order it checks an
+# item, then STOPPED, an item whose sweeps a bound cut short
+OK, NONFINITE_ENTRY, UNDERFLOW, UNCONVERGED, NONFINITE_SIGMA, STOPPED = range(6)
 
 # what svd raises for an item that jacobi_svd refuses or finds non-finite
 _NONFINITE = {
@@ -438,15 +487,17 @@ _NONFINITE = {
 
 @dataclass
 class JacobiStack:
-    """Per item of a stack: sigma (B, n), V (B, n, n) or None, status and residual (B,)."""
+    """Per item of a stack: sigma (B, n), V (B, n, n) or None, and status,
+    residual and the sweeps it took part in (B,)."""
 
     sigma: np.ndarray
     v: np.ndarray | None
     status: np.ndarray
     residual: np.ndarray
+    sweeps: np.ndarray
 
 
-def jacobi_svd(stack, vectors: bool) -> JacobiStack:
+def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     """Singular values, and V if vectors, of every matrix in a (B, n, n) stack.
 
     The one caller of `_jacobi`. A stack that is not B >= 1 square matrices
@@ -460,10 +511,19 @@ def jacobi_svd(stack, vectors: bool) -> JacobiStack:
     column norms sorted non-increasing, and `_pin_phases` pins V's columns.
     An item still rotating after MAX_JACOBI_SWEEPS is UNCONVERGED (residual:
     the largest coupling left, else 0), and one with a non-finite sigma
-    (entries outside about 1e-145..1e154) NONFINITE_SIGMA. sigma is NaN on
-    every item that is neither OK nor UNCONVERGED. The A part takes the same
-    arithmetic with or without vectors, alone or in any stack, so sigma,
-    status and residual are bit-identical either way.
+    (entries outside about 1e-145..1e154) NONFINITE_SIGMA.
+    bound, if given, is one float per item (else DimensionError): the core
+    stops after the first sweep that leaves an item still rotating with a
+    column norm below its bound (see `_jacobi`; a refused item's zeroed
+    columns never count). The items still rotating then are STOPPED: their
+    sigma is their column norms, whose smallest is an upper bound on
+    sigma_min, and with vectors V's smallest column v gives ||A_i v|| = that
+    norm, up to round-off. A stack in which no norm falls below its bound gives the same
+    bits as without one. sigma is NaN on every item that is neither OK,
+    STOPPED nor UNCONVERGED. sweeps counts the sweeps an item took part in,
+    its last one included. The A part takes the same arithmetic with or
+    without vectors, alone or in any stack, so sigma, status, residual and
+    sweeps are bit-identical either way, for the same bound.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or min(stack.shape) < 1 or stack.shape[1] != stack.shape[2]:
@@ -481,14 +541,21 @@ def jacobi_svd(stack, vectors: bool) -> JacobiStack:
     tiny = ((np.vecdot(f, f) < TINY) & (f != 0.0).any(axis=2)).any(axis=1)
     refused = nonfinite | tiny
     x[refused, :, :n] = 0.0
+    if bound is not None:
+        bound = np.asarray(bound, dtype=np.float64)
+        if bound.shape != (b,):
+            raise DimensionError(f"expected a bound of shape ({b},), got {bound.shape}")
     if vectors:
         x[..., n:] = np.eye(n)
-    x, converged, residual = _jacobi(x, n)
-    norms = np.sqrt(np.sum(np.abs(x[..., :n]) ** 2, axis=2))
+    x, converged, residual, sweeps, stopped = _jacobi(x, n, bound)
+    norms = np.sqrt(_squared_column_norms(x[..., :n]))
     overflow = ~np.isfinite(norms).all(axis=1)
     # later assignments win, so an item gets its first failure in check order
     status = np.where(overflow, NONFINITE_SIGMA, OK)
-    status[~converged] = UNCONVERGED
+    if stopped:
+        status[~converged & ~overflow] = STOPPED
+    else:
+        status[~converged] = UNCONVERGED
     status[tiny] = UNDERFLOW
     status[nonfinite] = NONFINITE_ENTRY
     norms[refused | overflow] = np.nan
@@ -498,24 +565,31 @@ def jacobi_svd(stack, vectors: bool) -> JacobiStack:
         # cols[b, i] is column i of item b's V
         cols = np.take_along_axis(x[..., n:], order[..., None], axis=1)
         v = _pin_phases(cols).transpose(0, 2, 1)
-    return JacobiStack(np.take_along_axis(norms, order, axis=1), v, status, residual)
+    sigma = np.take_along_axis(norms, order, axis=1)
+    return JacobiStack(sigma, v, status, residual, sweeps)
 
 
-def svd(a) -> SvdResult:
+def svd(a, bound=None) -> SvdResult:
     """Singular values and right singular vectors of a square matrix or a stack.
 
     a is an (n, n) matrix or a (B, n, n) stack, as for numpy.linalg.svd; the
     result is sigma (n,) and V (n, n), or sigma (B, n) and V (B, n, n), of
-    one jacobi_svd call with vectors. Accurate for small singular values,
-    which is what the shifted-matrix consumers need. Any other shape raises
-    DimensionError. The first item, in stack order, whose status is not OK
-    raises what svd of that item alone raises: ConvergenceError when the
-    sweep budget runs out (residual: the largest coupling left at exit),
-    else NonFiniteError. The zero matrix has sigma 0.
+    one jacobi_svd call with vectors, with converged and sweeps of shape ()
+    or (B,). Accurate for small singular values, which is what the
+    shifted-matrix consumers need. Any other shape raises DimensionError.
+    bound, of shape () or (B,), goes to jacobi_svd: an item it stopped is
+    not converged, and its sigma is its column norms (the smallest an upper
+    bound on sigma_min) and V their unit preimages. Without a bound every
+    returned item is converged. The first item, in stack order, whose status
+    is neither OK nor STOPPED raises what svd of that item alone raises:
+    ConvergenceError when the sweep budget runs out (residual: the largest
+    coupling left at exit), else NonFiniteError. The zero matrix has sigma 0.
     """
     m = np.asarray(a, dtype=np.complex128)
-    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=True)
-    failed = res.status != OK
+    if bound is not None and m.ndim == 2:
+        bound = np.asarray(bound, dtype=np.float64)[None]
+    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=True, bound=bound)
+    failed = (res.status != OK) & (res.status != STOPPED)
     if failed.any():
         i = int(np.argmax(failed))
         if res.status[i] != UNCONVERGED:
@@ -526,7 +600,13 @@ def svd(a) -> SvdResult:
             iterations=MAX_JACOBI_SWEEPS,
             residual=float(res.residual[i]),
         )
-    return SvdResult(res.sigma.reshape(m.shape[:-1]), res.v.reshape(m.shape))
+    items = m.shape[:-2]
+    return SvdResult(
+        res.sigma.reshape(m.shape[:-1]),
+        res.v.reshape(m.shape),
+        (res.status == OK).reshape(items),
+        res.sweeps.reshape(items),
+    )
 
 
 def rank_with_tol(a, tol: float) -> int:

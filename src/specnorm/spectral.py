@@ -25,10 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
+from .errors import DimensionError
 from .kernels import as_square, frob
 
 # round-off slack of the Weyl bounds check; scaled by Analysis.scale
@@ -238,7 +240,16 @@ def _shifted_stacks(b, ab: np.ndarray, zs: np.ndarray, entries_per_item: int):
         yield sl, zs[sl, None, None] * rot - ab
 
 
-def shifted_smallest_pair(a, z) -> tuple:
+class SmallestPair(NamedTuple):
+    """What shifted_smallest_pair returns, each shaped like its z."""
+
+    s: np.ndarray | float
+    x: np.ndarray
+    converged: np.ndarray | bool
+    sweeps: np.ndarray | int
+
+
+def shifted_smallest_pair(a, z, bound=None) -> SmallestPair:
     """s(z) = sigma_n(zI - A) and a unit right singular vector x(z) for it.
 
     z is a scalar, giving s as a float and x of shape (n,), or a 1-D array
@@ -249,21 +260,41 @@ def shifted_smallest_pair(a, z) -> tuple:
     right singular vector v of each item maps back as x = Bv, each entry one
     np.vecdot of a row of B with v, so neither s nor x depends on how the
     shifts are chunked (a batched v @ B.T can round differently by batch size).
+    converged and sweeps are kernels.svd's per z.
+    bound, shaped like z (else DimensionError), is passed on to kernels.svd
+    per stack: once a z of a stack still rotating has a column norm below
+    its bound, the stack stops, and each z it cut short is not converged.
+    Its s is then ||(zI - A)x|| for the unit x returned, an upper bound on
+    s(z), not s(z) itself. Without a bound every z converges.
     The first failing z, in order, raises what kernels.svd raises for it.
     """
     b, ab = _basis(a)
     n = ab.shape[0]
     z = np.asarray(z, dtype=np.complex128)
     zs = z.reshape(-1)
+    if bound is not None:
+        bound = np.asarray(bound, dtype=np.float64)
+        if bound.shape != z.shape:
+            raise DimensionError(f"expected a bound of shape {z.shape}, got {bound.shape}")
+        bound = bound.reshape(-1)
     s = np.empty(zs.size)
     x = np.empty((zs.size, n), dtype=np.complex128)
+    converged = np.empty(zs.size, dtype=bool)
+    sweeps = np.empty(zs.size, dtype=np.int64)
     for sl, stack in _shifted_stacks(b, ab, zs, 2):
         # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
-        res = kernels.svd(stack)
+        res = kernels.svd(stack, bound=None if bound is None else bound[sl])
         v = res.v[:, :, -1]
         s[sl] = res.sigma[:, -1]
         x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
-    return s.reshape(z.shape)[()], x.reshape(z.shape + (n,))
+        converged[sl] = res.converged
+        sweeps[sl] = res.sweeps
+    return SmallestPair(
+        s.reshape(z.shape)[()],
+        x.reshape(z.shape + (n,)),
+        converged.reshape(z.shape)[()],
+        sweeps.reshape(z.shape)[()],
+    )
 
 
 def shifted_smallest_singular(a, z):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specnorm import certifier, kernels
+from specnorm import certifier, kernels, spectral
 from specnorm.certifier import (
     CertifyConfig,
     EigspaceCluster,
@@ -81,11 +81,14 @@ class TestCriterionHolds:
         assert ev.passed
 
     def test_jordan_fails(self):
+        # criterion_holds passes no witness bound: its s is the converged
+        # sigma_n(zI - A), the value criterion 4 pins
         ev = criterion_holds(J2, (1.0, 0.0), 1e-8)
         assert ev.d == pytest.approx(1.0)
         assert ev.s == pytest.approx(PHI_MINUS, abs=1e-12)
+        assert ev.s == kernels.svd(1.0 * np.eye(2) - J2).sigma[-1]
         assert ev.gap == pytest.approx(1.0 - PHI_MINUS, abs=1e-12)
-        assert not ev.passed
+        assert ev.converged and not ev.passed
 
     def test_rotated_normal_passes(self):
         q = generate_matrix("unitary", 2, 17)
@@ -291,17 +294,35 @@ class TestCertify:
         assert calls == {"svd": 1, "schur": 1}
 
     def test_unconverged_probe_message(self, monkeypatch):
-        # the first unconverged item of the probe stack is the first probe
-        # that failed when the probes ran one at a time; the residual is that
-        # of the Schur-rotated columns zQ - AQ after one sweep
-        a = generate_matrix("ginibre", 6, 1)
+        # eps = 1e-6 is below the probes' resolution, so no column norm falls
+        # below its witness bound and one sweep leaves the stack unconverged;
+        # the residual is that of the first probe's Schur-rotated columns
+        # zQ - AQ after that sweep
+        a = generate_matrix("near_normal", 6, 0, 1e-6)
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
         with pytest.raises(IndeterminateError) as exc:
             certify(a)
         assert str(exc.value) == (
             "kernel did not converge: Jacobi SVD did not converge after 1 sweeps "
-            "(off-diagonal ratio 4.764e-01)"
+            "(off-diagonal ratio 5.490e-12)"
         )
+
+    def test_jordan_8_is_decided_after_one_sweep(self):
+        a = np.eye(8, k=1, dtype=complex)
+        cert = certify(a)
+        assert cert.verdict == "Nonnormal" and cert.jacobi_sweeps == 1
+        assert not cert.witness.converged
+        assert recheck_witness(a, cert) < cert.witness.d - cert.config_echo["tol_eq"]
+
+    def test_one_sweep_decides_ginibre(self, monkeypatch):
+        # a witness shows after the first sweep, so a one-sweep budget that
+        # leaves the probe stack unconverged still decides the verdict
+        a = generate_matrix("ginibre", 6, 1)
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        cert = certify(a)
+        assert cert.verdict == "Nonnormal" and cert.jacobi_sweeps == 1
+        assert not cert.witness.converged
+        assert abs(recheck_witness(a, cert) - cert.witness.s) <= 1e-12 * frob(a)
 
     @pytest.mark.parametrize("kind, n", [("normal", 16), ("hermitian", 32)])
     def test_normal_probes_need_two_sweeps(self, kind, n, monkeypatch):
@@ -394,6 +415,19 @@ class TestWitnessVector:
         assert abs(residual - cert.witness.s) <= 1e-12 * max(1.0, frob(a))
         assert residual < cert.witness.d - cert.config_echo["tol_eq"]
 
+    def test_witness_is_the_lowest_index_failing_probe(self):
+        # the document keeps every probe; an unconverged probe's s is an upper
+        # bound, so only a failing one can be the witness
+        a = generate_matrix("ginibre", 8, 4)
+        cert = certify(a)
+        failing = [k for k, e in enumerate(cert.evidence) if not e.passed]
+        assert cert.witness is cert.evidence[failing[0]]
+        assert len(cert.evidence) == len(spectrum_of(a).clusters)
+        exact = spectral.shifted_smallest_singular(a, [e.z for e in cert.evidence])
+        assert not all(e.converged for e in cert.evidence)
+        for e, s in zip(cert.evidence, exact):
+            assert e.s >= s - 1e-13 * frob(a)
+
     def test_normal_certificate_has_no_witness_vector(self):
         a = generate_matrix("normal", 4, 2)
         cert = certify(a)
@@ -414,6 +448,16 @@ class TestSerialization:
         assert doc["residuals"]["commutator"] == cert.residuals.commutator
         assert "eigenbasis" in doc
         assert doc["tolerances"]["tol_eq"] == cert.config_echo["tol_eq"]
+        assert doc["jacobi_sweeps"] == cert.jacobi_sweeps
+        assert [p["converged"] for p in doc["probes"]] == [True] * len(cert.evidence)
+
+    def test_nonnormal_document_marks_unconverged_probes(self):
+        a = generate_matrix("jordan", 6, 1)
+        cert = certify(a)
+        doc = certificate_to_dict(cert, a)
+        assert doc["verdict"] == "Nonnormal" and doc["jacobi_sweeps"] == 1
+        assert [p["converged"] for p in doc["probes"]] == [e.converged for e in cert.evidence]
+        assert doc["witness"]["converged"] is False
 
     def test_matrix_hash_sensitivity(self):
         a = np.diag([1.0, 2.0]).astype(complex)
@@ -421,3 +465,44 @@ class TestSerialization:
         b[0, 0] += 1e-15
         assert matrix_hash(a) != matrix_hash(b)
         assert matrix_hash(a) == matrix_hash(a.copy())
+
+
+@pytest.fixture(scope="module")
+def corpus300():
+    from test_acceptance import certified_corpus
+
+    return certified_corpus()
+
+
+class TestEarlyWitness:
+    def test_corpus_witnesses_recheck(self, corpus300):
+        # each Nonnormal certificate's x, from a probe stack stopped early or
+        # converged, rechecks to its reported s and stays below d - tol_eq
+        nonnormal = 0
+        for a, kind, n, _, cert in corpus300:
+            if cert is None or cert.verdict != "Nonnormal":
+                continue
+            nonnormal += 1
+            residual = recheck_witness(a, cert)
+            assert abs(residual - cert.witness.s) <= 1e-12 * max(1.0, frob(a)), (kind, n)
+            assert residual < cert.witness.d - cert.config_echo["tol_eq"], (kind, n)
+        assert nonnormal > 100
+
+    def test_an_unconverged_probe_means_a_witness(self, corpus300):
+        for _, kind, n, _, cert in corpus300:
+            if cert is not None and not all(e.converged for e in cert.evidence):
+                assert cert.verdict == "Nonnormal", (kind, n)
+
+    def test_witness_bound_implies_a_failing_probe(self):
+        # a probe whose s is just below its witness bound fails in
+        # probe_evidence's own arithmetic, also where tol_eq is close to d
+        rng = np.random.default_rng(5)
+        d = np.concatenate([rng.uniform(1e-8, 2.0, 2000), [1.0 + 2.0 ** -52, 2e-8, 1.0]])
+        for tol_eq in (1e-8, 1.0, 0.0, 1e-8 * (1.0 - 1e-15)):
+            for d_k in d.tolist():
+                b = certifier.witness_bound(d_k, tol_eq)
+                if b <= 0.0:
+                    assert d_k - tol_eq <= 8.0 * kernels.EPS * d_k
+                    continue
+                s = np.nextafter(b, 0.0)
+                assert not certifier.probe_evidence(d_k, 0.0, s, tol_eq).passed

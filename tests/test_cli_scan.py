@@ -32,8 +32,8 @@ def unconverge_item(monkeypatch, item):
     """Make values-only kernels.jacobi_svd calls report one stack item unconverged."""
     original = kernels.jacobi_svd
 
-    def patched(stack, vectors):
-        res = original(stack, vectors)
+    def patched(stack, vectors, **kwargs):
+        res = original(stack, vectors, **kwargs)
         if not vectors:
             res.status[item] = kernels.UNCONVERGED
         return res
@@ -46,9 +46,9 @@ def count_calls(monkeypatch, name):
     original = getattr(kernels, name)
     calls = {name: 0}
 
-    def counted(a):
+    def counted(*args, **kwargs):
         calls[name] += 1
-        return original(a)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(kernels, name, counted)
     return calls

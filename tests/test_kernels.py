@@ -702,6 +702,106 @@ class TestSvdStack:
             kernels.svd(np.ones(shape, dtype=complex))
 
 
+class TestJacobiBound:
+    # a per-item bound stops the core after the first sweep that leaves an
+    # item still rotating with a column norm below it
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
+    def test_no_item_below_its_bound_is_bit_identical(self, kind, vectors):
+        param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
+        a = generate_matrix(kind, 6, 8, param)
+        stack = shifted_stack(a, np.linspace(-2, 2, 4))
+        free = kernels.jacobi_svd(stack, vectors)
+        bounded = kernels.jacobi_svd(stack, vectors, bound=0.5 * free.sigma[:, -1])
+        assert (free.status == kernels.OK).all() and (free.sweeps > 1).any()
+        for name in ("sigma", "status", "residual", "sweeps"):
+            assert np.array_equal(getattr(bounded, name), getattr(free, name))
+        assert (free.v is None) == (not vectors)
+        assert not vectors or np.array_equal(bounded.v, free.v)
+        res = kernels.svd(stack, bound=0.5 * free.sigma[:, -1])
+        assert res.converged.all()
+        assert np.array_equal(res.sigma, kernels.svd(stack).sigma)
+
+    def test_a_witness_stops_the_stack(self):
+        # item 1's bound lies above its sigma_min; every column norm is an
+        # upper bound on sigma_min, so the first sweep that brings one below
+        # the bound stops every item still rotating
+        a = generate_matrix("ginibre", 8, 2)
+        stack = shifted_stack(a, np.linspace(-1, 1, 3))
+        free = kernels.svd(stack)
+        bound = np.zeros(len(stack))
+        bound[1] = 2.0 * free.sigma[1, -1]
+        res = kernels.jacobi_svd(stack, vectors=True, bound=bound)
+        stop = int(res.sweeps.max())
+        assert 1 <= stop < kernels.jacobi_svd(stack, vectors=True).sweeps.max()
+        assert res.sigma[1, -1] < bound[1]
+        assert set(res.status.tolist()) <= {kernels.OK, kernels.STOPPED}
+        assert (res.sweeps[res.status == kernels.STOPPED] == stop).all()
+        assert (res.residual == 0.0).all()
+        # sigma are the column norms of A V, and the smallest bounds sigma_min
+        # from above
+        for m, sigma, v in zip(stack, res.sigma, res.v):
+            norms = np.linalg.norm(m @ v, axis=0)
+            assert np.abs(norms - sigma).max() <= 1e-13 * np.linalg.norm(m)
+            assert unitarity_defect(v) <= 1e-13
+        assert (res.sigma[:, -1] >= free.sigma[:, -1] - 1e-13).all()
+        raised = kernels.svd(stack, bound=bound)
+        assert np.array_equal(raised.converged, res.status == kernels.OK)
+        assert np.array_equal(raised.sigma, res.sigma)
+        assert np.array_equal(raised.sweeps, res.sweeps)
+
+    def test_stopped_items_are_not_unconverged(self, monkeypatch):
+        # with a one-sweep budget the ginibre items run out of sweeps; a
+        # bound met in that sweep makes them STOPPED, which svd returns
+        a = generate_matrix("ginibre", 6, 2)
+        stack = shifted_stack(a, np.linspace(-1, 1, 3))
+        bound = 2.0 * kernels.svd(stack).sigma[:, -1]
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        with pytest.raises(ConvergenceError):
+            kernels.svd(stack)
+        res = kernels.svd(stack, bound=bound)
+        assert not res.converged.any() and (res.sweeps == 1).all()
+
+    def test_refused_item_never_stops_the_stack(self):
+        # a refused item's columns are zeroed, which says nothing about it
+        a = generate_matrix("ginibre", 5, 6)
+        nan_item = np.eye(5, dtype=complex)
+        nan_item[2, 3] = np.nan
+        stack = np.concatenate([shifted_stack(a, np.linspace(-1, 1, 2)), nan_item[None]])
+        free = kernels.jacobi_svd(stack, vectors=False)
+        bounded = kernels.jacobi_svd(stack, vectors=False, bound=np.full(len(stack), 1e300))
+        assert bounded.status[-1] == kernels.NONFINITE_ENTRY
+        assert (bounded.status[:-1] == kernels.STOPPED).all()
+        assert (bounded.sweeps[:-1] == 1).all()
+        one = kernels.jacobi_svd(stack, vectors=False, bound=np.r_[np.zeros(4), 1e300])
+        for name in ("sigma", "status", "residual", "sweeps"):
+            assert np.array_equal(getattr(one, name), getattr(free, name), equal_nan=True)
+
+    def test_single_matrix_takes_a_scalar_bound(self):
+        res = kernels.svd(GOLDEN_2X2, bound=10.0)
+        assert res.converged.shape == () and not res.converged
+        assert res.sweeps.shape == () and res.sweeps == 1
+        assert kernels.svd(GOLDEN_2X2, bound=0.0).converged
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1), (4,)])
+    def test_rejects_a_bound_of_the_wrong_shape(self, shape):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)])
+        with pytest.raises(DimensionError, match="bound"):
+            kernels.jacobi_svd(stack, vectors=False, bound=np.zeros(shape))
+        with pytest.raises(DimensionError, match="bound"):
+            kernels.svd(stack, bound=np.zeros(shape))
+        with pytest.raises(DimensionError, match="bound"):
+            kernels.svd(stack[0], bound=np.zeros((1,) + shape))
+
+    def test_sweeps_count_the_convergence_test(self):
+        # a diagonal item rotates nothing, so its one sweep is the test
+        a = generate_matrix("ginibre", 4, 3)
+        diagonal = np.diag([4.0, 3.0, 2.0, 1.0])[None]
+        stack = np.concatenate([diagonal, shifted_stack(a, np.array([0.5]))])
+        res = kernels.jacobi_svd(stack, vectors=False)
+        assert res.sweeps[0] == 1 and res.sweeps[1] > 1
+
+
 class TestRankWithTol:
     def test_identity(self):
         assert kernels.rank_with_tol(np.eye(3), 0.5) == 3

@@ -5,7 +5,7 @@ import pytest
 
 from specnorm import kernels, spectral
 from specnorm.certifier import criterion_holds
-from specnorm.errors import NonFiniteError
+from specnorm.errors import DimensionError, NonFiniteError
 from specnorm.generators import generate_matrix
 from specnorm.kernels import frob
 from specnorm.spectral import (
@@ -114,13 +114,23 @@ class TestShiftedSmallestSingular:
         whole = spectral.shifted_smallest_pair(a, zs)
         monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
         chunked = spectral.shifted_smallest_pair(a, zs)
-        for s, x in (whole, chunked):
+        for s, x, _, _ in (whole, chunked):
             assert s.shape == (7,) and x.shape == (7, 5)
-            assert np.array_equal(s, [s_k for s_k, _ in alone])
-            assert np.array_equal(x, [x_k for _, x_k in alone])
+            assert np.array_equal(s, [pair.s for pair in alone])
+            assert np.array_equal(x, [pair.x for pair in alone])
             assert np.array_equal(s, shifted_smallest_singular(a, zs))
-        for z, (s_k, x_k) in zip(zs, alone):
+        for z, (s_k, x_k, _, _) in zip(zs, alone):
             assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
+
+    def test_bound_of_another_shape_raises(self):
+        a = generate_matrix("ginibre", 4, 1)
+        zs = np.linspace(-1, 1, 3) + 0.5j
+        with pytest.raises(DimensionError, match="bound"):
+            spectral.shifted_smallest_pair(a, zs, bound=np.zeros(2))
+        with pytest.raises(DimensionError, match="bound"):
+            spectral.shifted_smallest_pair(a, zs[0], bound=np.zeros(1))
+        pair = spectral.shifted_smallest_pair(a, zs[0], bound=0.0)
+        assert pair.converged and pair.sweeps > 1
 
     def test_schur_basis_shifts_in_chunks(self, monkeypatch):
         # an Analysis gets the columns zQ - AQ and x = Qv: still each z's
@@ -133,15 +143,15 @@ class TestShiftedSmallestSingular:
         whole = spectral.shifted_smallest_pair(an, zs)
         monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
         chunked = spectral.shifted_smallest_pair(an, zs)
-        for s, x in (whole, chunked):
+        for s, x, _, _ in (whole, chunked):
             assert s.shape == (7,) and x.shape == (7, 5)
-            assert np.array_equal(s, [s_k for s_k, _ in alone])
-            assert np.array_equal(x, [x_k for _, x_k in alone])
+            assert np.array_equal(s, [pair.s for pair in alone])
+            assert np.array_equal(x, [pair.x for pair in alone])
             assert np.array_equal(s, shifted_smallest_singular(an, zs))
         # Q only rotates, so s is that of the plain columns up to round-off
         plain = shifted_smallest_singular(a, zs)
         assert np.abs(whole[0] - plain).max() <= 1e-14 * max(1.0, frob(a))
-        for z, (s_k, x_k) in zip(zs, alone):
+        for z, (s_k, x_k, _, _) in zip(zs, alone):
             assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
 
     def test_raw_matrix_runs_no_schur_form(self, monkeypatch):
