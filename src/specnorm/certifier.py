@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, spectral
-from .errors import ConvergenceError, IndeterminateError
+from .errors import ConvergenceError, IndeterminateError, NonFiniteError
 from .kernels import EPS, as_square, frob
 from .spectral import TOL_CERT, Spectrum
 
@@ -102,7 +102,7 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
 
     z_k = lambda_k + r_k * e^{i*angle} with r_k = (1 - TIE_MARGIN) times half
     the distance to the nearest other representative; a lone eigenvalue gets
-    radius max(1, scale)/2.
+    radius spectrum.scale/2, half the Analysis.scale it was clustered at.
 
     Why one such probe per distinct eigenvalue decides normality: let x be a
     unit eigenvector of lambda_k, with lambda_k among the eigenvalues nearest
@@ -123,7 +123,7 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     probes = []
     for k in range(p):
         if p == 1:
-            radius = max(1.0, spectrum.source_scale) / 2.0
+            radius = spectrum.scale / 2.0
         else:
             delta = min(abs(reps[j] - reps[k]) for j in range(p) if j != k)
             radius = (1.0 - TIE_MARGIN) * delta / 2.0
@@ -330,7 +330,9 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     most ||zI - A||_2 ||Q*Q - I||_2, and recheck_witness checks x against A
     itself. Kernel non-convergence or a residual over its bound raises
     IndeterminateError rather than guessing. A NaN, infinite or negative
-    tolerance, or a non-finite probe angle, raises ValueError.
+    tolerance, or a non-finite probe angle, raises ValueError. A finite
+    matrix whose ||A||_F overflows, so that no default tolerance is finite,
+    raises NonFiniteError once its Schur form has converged.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -342,20 +344,13 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         raise ValueError(f"probe_angle must be finite, got {config.probe_angle!r}")
     n = a.shape[0]
     tol_eq = config.tol_eq if config.tol_eq is not None else TOL_EQ * an.scale
-    cluster_tol = (
-        config.cluster_tol
-        if config.cluster_tol is not None
-        else spectral.default_cluster_tol(an.anorm)
-    )
-    config_echo = {
-        "tol_eq": tol_eq,
-        "cluster_tol": cluster_tol,
-        "probe_angle": config.probe_angle,
-        "tie_margin": TIE_MARGIN,
-        "tol_cert": TOL_CERT,
-    }
     try:
-        spectrum = spectral.spectrum_of(an, cluster_tol)
+        spectrum = spectral.spectrum_of(an, config.cluster_tol)
+        if not math.isfinite(an.scale):
+            raise NonFiniteError(
+                "||A||_F overflows float64, so the tolerances scaled by it "
+                "are not finite"
+            )
         probes = select_probes(spectrum, config.probe_angle)
         reps = spectrum.representatives
         lams = [complex(reps[p.cluster_index]) for p in probes]
@@ -366,6 +361,13 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         )
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
+    config_echo = {
+        "tol_eq": tol_eq,
+        "cluster_tol": spectrum.cluster_tol,
+        "probe_angle": config.probe_angle,
+        "tie_margin": TIE_MARGIN,
+        "tol_cert": TOL_CERT,
+    }
     evidence = [
         probe_evidence(p.z, lam, s_k, tol_eq, ok)
         for p, lam, s_k, ok in zip(probes, lams, pair.s, pair.converged)

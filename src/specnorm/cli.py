@@ -78,12 +78,8 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_certify(args) -> int:
     a = _load_matrix(args)
     cert = certifier.certify(a, _certify_config(args))
-    doc = certifier.certificate_to_dict(cert, a)
     print(cert.verdict)
-    if args.output:
-        io.write_certificate(args.output, doc)
-    else:
-        sys.stdout.write(io.dump_json(doc))
+    _emit(io.dump_json(certifier.certificate_to_dict(cert, a)), args.output)
     return EXIT_NORMAL if cert.verdict == "Normal" else EXIT_NONNORMAL
 
 

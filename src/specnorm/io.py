@@ -126,8 +126,3 @@ def scan_json(scan: GridScan) -> str:
         f'  "ny": {scan.ny:d},\n  "region": [\n    {region}\n  ],\n'
         f'  "samples": {samples}\n}}\n'
     )
-
-
-def write_certificate(path, cert_doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(cert_doc))

@@ -6,12 +6,12 @@ point kernels.jacobi_svd on stacks of shifts for values only and reads each
 shift's status, and d(z) with spectral.dist_to_spectrum_batch,
 one broadcast over the cluster representatives. Both accept a matrix or a
 spectral.Analysis, and take the spectrum from its one Schur form and their
-scale from its ||A||_F; neither factors the matrix any other way. They pass
-the Analysis on, so the Jacobi runs on the columns of zQ - AQ = (zI - A)Q,
-Q the Schur factor, whenever Q meets certify's unitarity bound (spectral's
-module docstring): nearly orthogonal for a normal or near-normal matrix, so
-few sweeps, and the singular values of zI - A up to
-||zI - A||_2 ||Q*Q - I||_2.
+tolerance scale from Analysis.scale; neither factors the matrix any other
+way. They pass the Analysis on, so the Jacobi runs on the columns of
+zQ - AQ = (zI - A)Q, Q the Schur factor, whenever Q meets certify's
+unitarity bound (spectral's module docstring): nearly orthogonal for a
+normal or near-normal matrix, so few sweeps, and the singular values of
+zI - A up to ||zI - A||_2 ||Q*Q - I||_2.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def scan_grid(a, region: tuple[float, float, float, float], nx: int, ny: int) ->
     Row-major ordering: the imaginary axis is the slow index. Every node's
     s(z) comes from one batched values-only Jacobi (kernels.jacobi_svd)
     over the stack of Schur-rotated shifted matrices zQ - AQ. Nodes within
-    n*EPS*max(1, ||A||_F) of an eigenvalue are flagged and their ratio
-    pinned to 1 to avoid 0/0; a node whose Jacobi did not converge, or whose
-    s(z) is not finite, is marked failed and the scan continues.
+    n*EPS*scale (spectral.Analysis.scale) of an eigenvalue are flagged and
+    their ratio pinned to 1 to avoid 0/0; a node whose Jacobi did not
+    converge, or whose s(z) is not finite, is marked failed and the scan
+    continues.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -103,12 +104,13 @@ class CorollaryReport:
 
 
 def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
-    """Sample |d(z) - s(z)| at random z in a disc of radius 2*max(1, ||A||_F).
+    """Sample |d(z) - s(z)| at random z in a disc of radius 2*scale.
 
-    The disc is centered at the centroid of the distinct eigenvalues, where
-    the equality is most discriminating; the eigenvalues are clustered at
-    the default tolerance, also when a is an Analysis whose Schur form a
-    certify with another cluster_tol has already computed. All z come from
+    scale is spectral.Analysis.scale. The disc is centered at the centroid
+    of the distinct eigenvalues, where the equality is most discriminating;
+    the eigenvalues are clustered at the default tolerance, also when a is
+    an Analysis whose Schur form a certify with another cluster_tol has
+    already computed. All z come from
     one draw of 2*n_samples uniforms u, read in pairs: sample i lies at
     radius*sqrt(u[2i]) and angle 2*pi*u[2i+1], the values that drawing r,
     then theta, per sample gives. s(z) comes from one batched values-only

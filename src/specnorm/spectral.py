@@ -50,10 +50,11 @@ class Analysis:
     """A validated square matrix with what every entry point derives from it.
 
     a is the matrix after as_square, anorm its Frobenius norm, and scale,
-    max(1, ||A||_F), the one factor the absolute tolerances scale by. schur
-    is computed on first use and kept: the spectrum, the certificate and a
-    scan of one Analysis share one Schur form, and a Schur failure raises
-    where the form is first needed. unitarity is ||Q*Q - I||_F of its factor
+    max(1, ||A||_F), the one factor every default absolute tolerance scales
+    by and the only place ||A||_F is floored. schur is computed on first use
+    and kept: the spectrum, the certificate and a scan of one Analysis share
+    one Schur form, and a Schur failure raises where the form is first
+    needed. unitarity is ||Q*Q - I||_F of its factor
     Q, computed once. basis is what the shifted stacks of this Analysis are
     built from: (Q, AQ) when unitarity <= TOL_CERT*n, else (None, A), where
     None stands for B = I; Q only rotates, so the singular values of
@@ -93,10 +94,6 @@ def analyze(a) -> Analysis:
     return Analysis(a, frob(a))
 
 
-def default_cluster_tol(scale: float) -> float:
-    return CLUSTER_TOL * max(1.0, scale)
-
-
 def check_tolerance(name: str, tol: float | None) -> None:
     """Raise ValueError unless tol is None or finite and >= 0."""
     if tol is not None and not 0.0 <= tol < math.inf:
@@ -108,12 +105,14 @@ class Spectrum:
     """Eigenvalue multiset together with clustered distinct eigenvalues.
 
     clusters holds (representative, algebraic multiplicity) pairs; the
-    representatives play the role of the distinct eigenvalues.
+    representatives play the role of the distinct eigenvalues. scale and
+    cluster_tol are the tolerance scale and the threshold it was clustered at.
     """
 
     all_eigenvalues: np.ndarray
     clusters: list[tuple[complex, int]]
-    source_scale: float
+    scale: float
+    cluster_tol: float
 
     @property
     def representatives(self) -> np.ndarray:
@@ -137,8 +136,10 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
 
     Representatives are the means of their clusters (multiplicity-weighted,
     since every raw eigenvalue participates once). Representative pairs that
-    end up within the threshold are merged until separation holds. A NaN,
-    infinite or negative cluster_tol raises ValueError.
+    end up within the threshold are merged until separation holds. The
+    default cluster_tol is CLUSTER_TOL*scale; scale gets no floor here, and
+    callers pass Analysis.scale. A NaN, infinite or negative cluster_tol
+    raises ValueError.
     """
     raw = np.asarray(raw, dtype=np.complex128).reshape(-1)
     if raw.size == 0:
@@ -147,7 +148,7 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
         raise ValueError("scale must be nonnegative")
     check_tolerance("cluster_tol", cluster_tol)
     if cluster_tol is None:
-        cluster_tol = default_cluster_tol(scale)
+        cluster_tol = CLUSTER_TOL * scale
     n = raw.size
     parent = list(range(n))
 
@@ -189,7 +190,7 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
             if merged:
                 break
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return Spectrum(raw.copy(), clusters, float(scale))
+    return Spectrum(raw.copy(), clusters, float(scale), cluster_tol)
 
 
 def spectrum_of(a, cluster_tol: float | None = None) -> Spectrum:
@@ -199,7 +200,7 @@ def spectrum_of(a, cluster_tol: float | None = None) -> Spectrum:
     tolerance, runs no second Schur form.
     """
     an = analyze(a)
-    return cluster_spectrum(an.schur.eigenvalues, an.anorm, cluster_tol)
+    return cluster_spectrum(an.schur.eigenvalues, an.scale, cluster_tol)
 
 
 def dist_to_spectrum(z: complex, spectrum: Spectrum) -> tuple[float, int]:

@@ -21,7 +21,7 @@ from specnorm.certifier import (
     select_probes,
     semisimple_check,
 )
-from specnorm.errors import IndeterminateError
+from specnorm.errors import IndeterminateError, NonFiniteError
 from specnorm.generators import generate_matrix
 from specnorm.kernels import frob, schur
 from specnorm.spectral import cluster_spectrum, spectrum_of
@@ -261,6 +261,30 @@ class TestCertify:
         cert = certify(np.diag([1.0, 2.0]), CertifyConfig(tol_eq=0.0, cluster_tol=0.0))
         assert cert.config_echo["tol_eq"] == 0.0
         assert cert.config_echo["cluster_tol"] == 0.0
+
+    def test_default_tolerances_read_analysis_scale(self, monkeypatch):
+        # ||A||_F = 0.01*sqrt(2), so a floor applied anywhere but the scale
+        # would give cluster_tol 1e-7 and radius 0.5
+        monkeypatch.setattr(spectral.Analysis, "scale", property(lambda an: 7.0))
+        j3 = np.zeros((3, 3), dtype=complex)
+        j3[0, 1] = j3[1, 2] = 0.01
+        cert = certify(j3)
+        assert cert.config_echo["tol_eq"] == pytest.approx(7e-8, rel=1e-15)
+        assert cert.config_echo["cluster_tol"] == pytest.approx(7e-7, rel=1e-15)
+        assert [e.d for e in cert.evidence] == [3.5]
+
+    @pytest.mark.parametrize("a", [
+        J2 * 1e155,
+        generate_matrix("ginibre", 4, 1) * 5e153,
+        generate_matrix("jordan", 4, 1) * 1e154,
+    ], ids=["J2", "ginibre", "jordan"])
+    @pytest.mark.parametrize("config", [None, CertifyConfig(cluster_tol=1.0)],
+                             ids=["default", "cluster_tol"])
+    def test_overflowing_norm_raises_nonfinite(self, a, config):
+        # finite entries and a converged Schur form, but ||A||_F is inf
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError, match=r"\|\|A\|\|_F overflows"):
+                certify(a, config)
 
     @pytest.mark.parametrize("angle", [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
     def test_probe_angle_invariance(self, angle):

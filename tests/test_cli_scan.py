@@ -449,6 +449,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == line + "\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["certify"], ["certify", "--cluster-tol", "1"], ["check-corollary"],
+    ], ids=["certify", "certify-cluster-tol", "check-corollary"])
+    def test_overflowing_norm_prints_one_line(self, argv, tmp_path, capsys):
+        # the Schur form converges but ||A||_F overflows: the message names
+        # the overflow, not a tolerance the user did not pass
+        path = tmp_path / "big.json"
+        snio.write_matrix(path, J2 * 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--input", str(path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ||A||_F overflows float64, so the tolerances scaled by it "
+            "are not finite\n"
+        )
+
     @pytest.mark.parametrize("command", ["certify", "check-corollary"])
     @pytest.mark.parametrize(
         "option", ["--tol-eq=nan", "--tol-eq=-1", "--cluster-tol=inf", "--probe-angle=nan"]
@@ -579,4 +598,4 @@ class TestOneAnalysis:
         spect = spectral.spectrum_of(an)
         assert calls["schur"] == 1
         assert spect.all_eigenvalues.tolist() == eigs.tolist()
-        assert spect.source_scale == frob(an.a)
+        assert spect.scale == an.scale

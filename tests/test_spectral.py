@@ -274,6 +274,17 @@ def test_unitary_similarity_invariance(seed):
     assert abs(d0 - d1) <= tol
 
 
-def test_cluster_tol_default_scales():
-    assert spectral.default_cluster_tol(0.0) == pytest.approx(1e-7)
-    assert spectral.default_cluster_tol(100.0) == pytest.approx(1e-5)
+def test_spectrum_of_clusters_at_analysis_scale():
+    # ||A||_F < 1: the scale is floored at 1, so 5e-8 apart is one cluster
+    small = spectrum_of(np.diag([0.3, 0.4, 0.4 + 5e-8]))
+    assert small.scale == 1.0
+    assert small.cluster_tol == spectral.CLUSTER_TOL
+    assert small.multiplicities == [1, 2]
+    assert len(spectrum_of(np.diag([0.3, 0.4, 0.4 + 2e-7])).clusters) == 3
+    # ||A||_F > 100: the tolerance grows with it, so 5e-6 apart is one cluster
+    a = np.diag([60.0, 80.0, 80.0 + 5e-6])
+    large = spectrum_of(a)
+    assert large.scale == frob(a)
+    assert large.cluster_tol == spectral.CLUSTER_TOL * large.scale
+    assert large.multiplicities == [1, 2]
+    assert len(spectrum_of(np.diag([60.0, 80.0, 80.0 + 2e-5])).clusters) == 3
