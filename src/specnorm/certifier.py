@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels, spectral
 from .errors import ConvergenceError, IndeterminateError, NonFiniteError
-from .kernels import EPS, as_square, frob
+from .kernels import EPS, _cabs, as_square, frob
 from .spectral import TOL_CERT, Spectrum
 
 TOL_EQ = 1e-8
@@ -117,7 +117,7 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     paper's finite probe set made explicit; the strict-nearest check below
     guards its condition.
     """
-    reps = spectrum.representatives
+    reps = [lam for lam, _ in spectrum.clusters]
     p = len(reps)
     direction = np.exp(1j * angle)
     probes = []
@@ -125,15 +125,15 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
         if p == 1:
             radius = spectrum.scale / 2.0
         else:
-            delta = min(abs(reps[j] - reps[k]) for j in range(p) if j != k)
+            delta = min(_cabs(reps[j] - reps[k]) for j in range(p) if j != k)
             radius = (1.0 - TIE_MARGIN) * delta / 2.0
         z = complex(reps[k] + radius * direction)
         probes.append(Probe(z=z, cluster_index=k, radius=float(radius)))
     # strict-nearest sanity check; guaranteed by construction
     for probe in probes:
-        d_own = abs(probe.z - reps[probe.cluster_index])
+        d_own = _cabs(probe.z - reps[probe.cluster_index])
         others = [
-            abs(probe.z - reps[j]) for j in range(p) if j != probe.cluster_index
+            _cabs(probe.z - reps[j]) for j in range(p) if j != probe.cluster_index
         ]
         if others and d_own >= min(others):
             raise IndeterminateError(
@@ -352,8 +352,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
                 "are not finite"
             )
         probes = select_probes(spectrum, config.probe_angle)
-        reps = spectrum.representatives
-        lams = [complex(reps[p.cluster_index]) for p in probes]
+        lams = [spectrum.clusters[p.cluster_index][0] for p in probes]
         # d as probe_evidence computes it
         bound = [witness_bound(abs(p.z - lam), tol_eq) for p, lam in zip(probes, lams)]
         pair = spectral.shifted_smallest_pair(
@@ -370,7 +369,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     }
     evidence = [
         probe_evidence(p.z, lam, s_k, tol_eq, ok)
-        for p, lam, s_k, ok in zip(probes, lams, pair.s, pair.converged)
+        for p, lam, s_k, ok in zip(probes, lams, pair.s.tolist(), pair.converged.tolist())
     ]
     jacobi_sweeps = max(pair.sweeps.tolist())
     commutator = commutator_normality_oracle(a)

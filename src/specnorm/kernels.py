@@ -10,7 +10,13 @@ one numpy call: a reflector's rank-one update of the buffer's columns, and a
 QR step's 2x2 rotation of two columns over the buffer's leading rows. The
 rotations' coefficients are Python complex scalars, computed with the same
 roundings as numpy's (the C library's hypot, a division by r taken as a
-product with 1/r), so Q and T are those of the separate products.
+product with 1/r), so Q and T are those of the separate products. Each QR
+iteration reads the active diagonal and subdiagonal once, as Python
+complex, and runs its deflation tests and its Wilkinson shift on those
+scalars; each rotation is written into one of two preallocated 2x2 arrays.
+Every modulus of a Python complex goes through `_cabs`, which gives inf
+where the builtin abs raises OverflowError, as numpy's abs does. `frob` and
+the reflector's norm take np.linalg.norm's arithmetic without its dispatch.
 Every singular value comes from one one-sided Jacobi core, `_jacobi`, over a
 stack of column sets. Its sweeps follow a round-robin ordering (Brent & Luk
 1985): the n(n-1)/2 column pairs fall into n-1 steps (n for odd n) of
@@ -69,21 +75,43 @@ MAX_JACOBI_SWEEPS = 30
 
 
 def as_square(a) -> np.ndarray:
-    """Validate and coerce input to a square complex128 matrix."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Validate and coerce input to a square complex128 matrix.
+
+    The result is a fresh C-contiguous copy, also of an input that already
+    is one, so callers may write to it.
+    """
+    m = np.array(a, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionError(f"matrix dimensions must be >= 1, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFiniteError("matrix contains NaN or Inf entries")
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got {m.shape}")
-    return np.array(m, dtype=np.complex128, order="C")
+    return m
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x's entries, float64 or complex128, as np.linalg.norm gives it.
+
+    For a vector and for the Frobenius norm of a matrix, np.linalg.norm
+    ravels x in memory order and takes sqrt(xr.xr + xi.xi) from two dot
+    products; this is that arithmetic, on the same raveled array (a strided
+    dot can round apart from a contiguous one), without its dispatch. The
+    squares underflow for entries below about 1e-154.
+    """
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        xr, xi = x.real, x.imag
+        return math.sqrt(xr.dot(xr) + xi.dot(xi))
+    return math.sqrt(x.dot(x))
 
 
 def frob(a) -> float:
-    return float(np.linalg.norm(np.asarray(a), "fro"))
+    """||a||_F; an integer or boolean array is taken as float64, as np.linalg.norm takes it."""
+    x = np.asarray(a)
+    return _norm(x if x.dtype.kind in "fc" else x.astype(np.float64))
 
 
 def _pin_phases(v: np.ndarray) -> np.ndarray:
@@ -106,7 +134,7 @@ def _pin_phases(v: np.ndarray) -> np.ndarray:
 
 def _reflector(x: np.ndarray) -> np.ndarray | None:
     """Unit Householder vector of x, pivot pushed away from zero; None for x = 0."""
-    normx = float(np.linalg.norm(x))
+    normx = _norm(x)
     if normx == 0.0:
         return None
     alpha = x[0]
@@ -114,7 +142,7 @@ def _reflector(x: np.ndarray) -> np.ndarray | None:
     v = x.copy()
     # |v[0]| = |x[0]| + ||x||, so ||v|| >= ||x|| > 0
     v[0] += phase * normx
-    return v / float(np.linalg.norm(v))
+    return v / _norm(v)
 
 
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +252,12 @@ def schur(a) -> SchurResult:
     0..i+1 of H (below them the left rotations have zeroed both columns,
     up to a round-off that stays out of the product), which are the
     buffer's first n + i + 2 rows, so each rotation is one product on one
-    slice. Each rotation is built from Python complex scalars as one array
-    with 1/r folded in, and the shift goes on and off H's diagonal through
-    one strided view.
+    slice. Each iteration reads the active diagonal and subdiagonal once,
+    as Python complex, and the deflation tests, the search for the active
+    block's start and the Wilkinson shift run on those scalars. Each
+    rotation's coefficients, 1/r folded in, are written item by item into
+    one of two preallocated 2x2 arrays, and the shift goes on and off H's
+    diagonal through one strided view.
     """
     a = as_square(a)
     n = a.shape[0]
@@ -235,31 +266,42 @@ def schur(a) -> SchurResult:
     qh = hessenberg(a)
     h = qh[n:]
     diag = h.reshape(-1)[:: n + 1]
+    # the subdiagonal: sub[i] is h[i + 1, i]
+    sub = h.reshape(-1)[n :: n + 1]
+    # a rotation and its conjugate transpose, filled in place per step
+    g = np.empty((2, 2), dtype=complex)
+    gc = np.empty((2, 2), dtype=complex)
 
     def negligible(i: int) -> bool:
-        thresh = EPS * (abs(h[i - 1, i - 1]) + abs(h[i, i]))
+        thresh = EPS * (_cabs(d[i - 1]) + _cabs(d[i]))
         if thresh == 0.0:
             thresh = EPS * anorm
-        return abs(h[i, i - 1]) <= thresh
+        return _cabs(s[i - 1]) <= thresh
 
     m = n - 1
     iters = 0
     exceptional = 0
     stagnant = 0
     while m > 0:
-        if negligible(m):
+        # the deflation tests and the shift read the active diagonal d and
+        # subdiagonal s as Python complex, once per QR iteration: no test
+        # reads the zero a deflation writes, so one read serves them all
+        d = diag[: m + 1].tolist()
+        s = sub[:m].tolist()
+        while m > 0 and negligible(m):
             h[m, m - 1] = 0.0
             m -= 1
             stagnant = 0
-            continue
+        if m == 0:
+            break
         iters += 1
         stagnant += 1
         if iters > max_iters:
             raise ConvergenceError(
                 f"shifted QR did not converge after {iters - 1} iterations "
-                f"(trailing subdiagonal {abs(h[m, m - 1]):.3e})",
+                f"(trailing subdiagonal {_cabs(s[m - 1]):.3e})",
                 iterations=iters - 1,
-                residual=float(abs(h[m, m - 1])),
+                residual=_cabs(s[m - 1]),
             )
         # start of the active block
         low = m
@@ -272,23 +314,30 @@ def schur(a) -> SchurResult:
             exceptional += 1
             mu = h[m, m] + 0.75 * abs(h[m, m - 1])
         else:
-            (hmm, hmn), (hnm, hnn) = h[m - 1 : m + 1, m - 1 : m + 1].tolist()
-            mu = _wilkinson_shift(hmm, hmn, hnm, hnn)
+            mu = _wilkinson_shift(d[m - 1], h.item(m - 1, m), s[m - 1], d[m])
         diag[low : m + 1] -= mu
         coeffs = []
         for i in range(low, m):
-            x0, x1 = h[i : i + 2, i].tolist()
+            # this step's rotations so far touched rows low..i only, so the
+            # subdiagonal below h[i, i] is still s[i]
+            x0, x1 = diag.item(i), s[i]
             r = _cabs(complex(_cabs(x0), _cabs(x1)))
             # x1 is a subdiagonal the deflation test kept, so r is 0 only
             # where NaN entries defeat that test; the identity then stands in
             c0, c1 = (x0 * (1.0 / r), x1 * (1.0 / r)) if r != 0.0 else (1.0, 0.0)
-            g = np.array([[c0.conjugate(), c1.conjugate()], [-c1, c0]], dtype=complex)
+            g[0, 0] = c0.conjugate()
+            g[0, 1] = c1.conjugate()
+            g[1, 0] = -c1
+            g[1, 1] = c0
             rows = h[i : i + 2, i:]
             rows[...] = g @ rows
             coeffs.append((c0, c1))
         for i, (c0, c1) in enumerate(coeffs, start=low):
             # g's conjugate transpose, on Q and H at once
-            gc = np.array([[c0, -c1.conjugate()], [c1, c0.conjugate()]], dtype=complex)
+            gc[0, 0] = c0
+            gc[0, 1] = -c1.conjugate()
+            gc[1, 0] = c1
+            gc[1, 1] = c0.conjugate()
             cols = qh[: n + i + 2, i : i + 2]
             cols[...] = cols @ gc
         diag[low : m + 1] += mu
@@ -540,7 +589,8 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     f = x[..., :n].view(np.float64)
     tiny = ((np.vecdot(f, f) < TINY) & (f != 0.0).any(axis=2)).any(axis=1)
     refused = nonfinite | tiny
-    x[refused, :, :n] = 0.0
+    if refused.any():
+        x[refused, :, :n] = 0.0
     if bound is not None:
         bound = np.asarray(bound, dtype=np.float64)
         if bound.shape != (b,):
@@ -558,14 +608,17 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
         status[~converged] = UNCONVERGED
     status[tiny] = UNDERFLOW
     status[nonfinite] = NONFINITE_ENTRY
-    norms[refused | overflow] = np.nan
+    bad = refused | overflow
+    if bad.any():
+        norms[bad] = np.nan
     order = np.argsort(-norms, axis=1, kind="stable")
+    items = np.arange(b)[:, None]
     v = None
     if vectors:
         # cols[b, i] is column i of item b's V
-        cols = np.take_along_axis(x[..., n:], order[..., None], axis=1)
+        cols = x[items, order, n:]
         v = _pin_phases(cols).transpose(0, 2, 1)
-    sigma = np.take_along_axis(norms, order, axis=1)
+    sigma = norms[items, order]
     return JacobiStack(sigma, v, status, residual, sweeps)
 
 

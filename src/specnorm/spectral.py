@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError
-from .kernels import as_square, frob
+from .kernels import _cabs, as_square, frob
 
 # round-off slack of the Weyl bounds check; scaled by Analysis.scale
 KAPPA_WEYL = 1e-9
@@ -163,15 +163,19 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
         if ri != rj:
             parent[rj] = ri
 
+    vals = raw.tolist()
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(raw[i] - raw[j]) <= cluster_tol:
+            if _cabs(vals[i] - vals[j]) <= cluster_tol:
                 union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    # np.mean of one value v is (v + 0j) / 1 bit for bit: a sum from zero,
+    # which turns a -0.0 part into 0.0, then a complex division by the count
     clusters = [
-        (complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()
+        ((vals[idx[0]] + 0j) / 1 if len(idx) == 1 else complex(np.mean(raw[idx])), len(idx))
+        for idx in groups.values()
     ]
     # merge representatives that landed within the threshold of each other
     merged = True
@@ -181,7 +185,7 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
             for j in range(i + 1, len(clusters)):
                 li, mi = clusters[i]
                 lj, mj = clusters[j]
-                if abs(li - lj) <= cluster_tol:
+                if _cabs(li - lj) <= cluster_tol:
                     rep = (li * mi + lj * mj) / (mi + mj)
                     clusters[i] = (complex(rep), mi + mj)
                     del clusters[j]
@@ -342,8 +346,13 @@ class WeylReport:
 
 
 def weyl_bounds_check(m, kappa_weyl: float | None = None) -> WeylReport:
-    """Check sigma_1 >= |lambda_1| and |lambda_n| >= sigma_n."""
+    """Check sigma_1 >= |lambda_1| and |lambda_n| >= sigma_n.
+
+    kappa_weyl is the absolute slack of both checks (None: KAPPA_WEYL times
+    Analysis.scale); a NaN, infinite or negative one raises ValueError.
+    """
     an = analyze(m)
+    check_tolerance("kappa_weyl", kappa_weyl)
     if kappa_weyl is None:
         kappa_weyl = KAPPA_WEYL * an.scale
     # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls

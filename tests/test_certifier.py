@@ -277,7 +277,9 @@ class TestCertify:
         J2 * 1e155,
         generate_matrix("ginibre", 4, 1) * 5e153,
         generate_matrix("jordan", 4, 1) * 1e154,
-    ], ids=["J2", "ginibre", "jordan"])
+        # |a_00| overflows, so the eigenvalues' distance does too
+        np.array([[1.5e308 + 1.5e308j, 1.0], [1.0, 0.0]]),
+    ], ids=["J2", "ginibre", "jordan", "modulus"])
     @pytest.mark.parametrize("config", [None, CertifyConfig(cluster_tol=1.0)],
                              ids=["default", "cluster_tol"])
     def test_overflowing_norm_raises_nonfinite(self, a, config):

@@ -66,6 +66,64 @@ class TestHouseholderQR:
             kernels.householder_qr([[np.nan, 0.0], [0.0, 1.0]])
 
 
+class TestNorm:
+    """frob and the reflector norm are np.linalg.norm's arithmetic without its dispatch."""
+
+    @staticmethod
+    def inputs(complex_entries):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 16, 40):
+            a = rng.standard_normal((n, n)) * np.logspace(-3, 3, n)
+            if complex_entries:
+                a = a + 1j * rng.standard_normal((n, n))
+            yield a
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_frob_is_linalg_norm_bit_for_bit(self, complex_entries):
+        for a in self.inputs(complex_entries):
+            assert kernels.frob(a) == float(np.linalg.norm(a, "fro"))
+            # a strided view ravels into a copy, as np.linalg.norm ravels it
+            view = a[:, ::2]
+            assert kernels.frob(view) == float(np.linalg.norm(view, "fro"))
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_reflector_norm_is_linalg_norm_bit_for_bit(self, complex_entries):
+        for a in self.inputs(complex_entries):
+            for k in range(a.shape[1]):
+                # the strided column view _reflector receives, and a copy
+                column = a[k:, k]
+                assert kernels._norm(column) == float(np.linalg.norm(column))
+                assert kernels._norm(column.copy()) == float(np.linalg.norm(column.copy()))
+
+    def test_frob_takes_integers_as_float(self):
+        assert kernels.frob(np.array([[3, 0], [0, 4]])) == 5.0
+
+
+class TestAsSquare:
+    def test_returns_a_fresh_c_contiguous_copy(self):
+        a = np.arange(9, dtype=np.complex128).reshape(3, 3)
+        m = kernels.as_square(a)
+        assert m is not a and not np.shares_memory(m, a)
+        assert m.flags.c_contiguous and m.dtype == np.complex128
+        assert np.array_equal(m, a)
+        f = kernels.as_square(np.asfortranarray(a))
+        assert f.flags.c_contiguous and np.array_equal(f, a)
+
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf),
+    ], ids=["nan-real", "nan-imag", "inf-real", "inf-imag"])
+    def test_rejects_nonfinite_in_either_part(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            kernels.as_square(a)
+
+    def test_nonsquare_with_nan_raises_nonfinite(self):
+        # the finiteness check comes before the squareness check
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            kernels.as_square([[np.nan, 0.0, 1.0], [0.0, 1.0, 2.0]])
+
+
 class TestSchur:
     def test_diagonal(self):
         res = kernels.schur(np.diag([1.0, 2.0, 3.0]).astype(complex))
@@ -185,11 +243,17 @@ class TestSchurSharedBuffer:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
     @pytest.mark.parametrize(
-        "kind", ["normal", "ginibre", "near_normal", "hermitian", "unitary"]
+        "kind",
+        ["normal", "ginibre", "near_normal", "hermitian", "unitary", "jordan", "cyclic"],
     )
     def test_bit_identical_to_separate_factors(self, kind, n):
-        # the shared buffer changes which numpy calls run, not the arithmetic
-        a = generate_matrix(kind, n, 3, 1e-3 if kind == "near_normal" else None)
+        # the shared buffer and the scalar reads change which numpy calls
+        # run, not the arithmetic
+        if kind == "cyclic":
+            # at n = 3: ten stagnant iterations, then the exceptional shift
+            a = np.roll(np.eye(n), 1, axis=1).astype(complex)
+        else:
+            a = generate_matrix(kind, n, 3, 1e-3 if kind == "near_normal" else None)
         q, t, iters, exceptional = reference_schur(a)
         res = kernels.schur(a)
         assert np.array_equal(res.q, q) and np.array_equal(res.t, t)
@@ -239,6 +303,16 @@ class TestSchurSharedBuffer:
         assert (res.iterations, res.exceptional_shifts) == (11, 1)
         roots = np.exp(2j * np.pi * np.arange(3) / 3)
         assert oracles.match_multisets(res.eigenvalues, roots) < 1e-12
+
+    def test_modulus_overflow_deflates_as_numpy_does(self):
+        # |h[0, 0]| overflows: the builtin abs would raise OverflowError on it,
+        # numpy's abs gives inf, so the deflation test passes at once
+        a = [[1.5e308 + 1.5e308j, 1.0], [1.0, 0.0]]
+        with np.errstate(all="ignore"):
+            res = kernels.schur(a)
+        assert (res.iterations, res.exceptional_shifts) == (0, 0)
+        assert np.array_equal(res.q, np.eye(2))
+        assert np.array_equal(res.t, np.array([[1.5e308 + 1.5e308j, 1.0], [0.0, 0.0]]))
 
     def test_schur_runs_hessenberg_once(self, monkeypatch):
         original = kernels.hessenberg

@@ -60,6 +60,26 @@ class TestClusterSpectrum:
         with pytest.raises(ValueError, match=match):
             spectrum_of(np.diag([1.0, 1.0, 2.0]), tol)
 
+    def test_one_element_cluster_keeps_its_raw_value(self):
+        v = 1.0 / 3.0 - 2.5e-300j
+        s = cluster_spectrum([v, 5.0, 5.0 + 1e-12], scale=5.0, cluster_tol=1e-8)
+        lam = s.clusters[0][0]
+        assert (lam.real, lam.imag) == (v.real, v.imag)
+
+    @pytest.mark.parametrize("v", [complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0)])
+    def test_one_element_cluster_reads_as_its_mean(self, v):
+        # a -0.0 part comes out 0.0, as np.mean of the one value gives it
+        lam = cluster_spectrum([v, 7.0], scale=7.0, cluster_tol=1e-8).clusters[0][0]
+        mean = complex(np.mean(np.array([v])))
+        assert np.signbit([lam.real, lam.imag]).tolist() == [False, False]
+        assert np.signbit([mean.real, mean.imag]).tolist() == [False, False]
+        assert lam == mean
+
+    def test_overflowing_modulus_neither_clusters_nor_raises(self):
+        # |lam_i - lam_j| overflows: inf, as numpy gives it, not OverflowError
+        s = cluster_spectrum([1.5e308 + 1.5e308j, 0.0], scale=1.0, cluster_tol=1.0)
+        assert [m for _, m in s.clusters] == [1, 1]
+
 
 class TestDistToSpectrum:
     def test_simple(self):
@@ -216,6 +236,17 @@ class TestWeylBounds:
         tol = 1e-9 * max(1.0, frob(h))
         assert abs(r.sigma_1 - r.abs_lambda_max) <= tol
         assert abs(r.sigma_n - r.abs_lambda_min) <= tol
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0])
+    def test_rejects_malformed_kappa_weyl(self, kappa):
+        # nan and -1.0 made both checks fail, and inf made both pass
+        with pytest.raises(ValueError, match=r"kappa_weyl must be finite and >= 0, got "):
+            weyl_bounds_check(J2, kappa_weyl=kappa)
+
+    @pytest.mark.parametrize("kappa", [None, 0.0])
+    def test_accepts_default_and_zero_kappa_weyl(self, kappa):
+        r = weyl_bounds_check(np.diag([3.0, 2.0j]), kappa_weyl=kappa)
+        assert r.upper_ok and r.lower_ok
 
     def test_normal_diagonal(self):
         r = weyl_bounds_check(np.diag([3.0, 2.0j]))
