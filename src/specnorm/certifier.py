@@ -128,17 +128,11 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
             delta = min(_cabs(reps[j] - reps[k]) for j in range(p) if j != k)
             radius = (1.0 - TIE_MARGIN) * delta / 2.0
         z = complex(reps[k] + radius * direction)
+        # strict-nearest sanity check; guaranteed by construction
+        others = [_cabs(z - reps[j]) for j in range(p) if j != k]
+        if others and _cabs(z - reps[k]) >= min(others):
+            raise IndeterminateError(f"probe {z} is not strictly nearest to its eigenvalue")
         probes.append(Probe(z=z, cluster_index=k, radius=float(radius)))
-    # strict-nearest sanity check; guaranteed by construction
-    for probe in probes:
-        d_own = _cabs(probe.z - reps[probe.cluster_index])
-        others = [
-            _cabs(probe.z - reps[j]) for j in range(p) if j != probe.cluster_index
-        ]
-        if others and d_own >= min(others):
-            raise IndeterminateError(
-                f"probe {probe.z} is not strictly nearest to its eigenvalue"
-            )
     return probes
 
 
@@ -150,7 +144,7 @@ def probe_evidence(
     d = |z - lambda|, and the probe passes when d - s <= tol_eq. Unconverged,
     s is an upper bound on sigma_n(zI - A).
     """
-    d = abs(complex(z) - complex(lam))
+    d = _cabs(complex(z) - complex(lam))
     g = d - s
     return ProbeEvidence(
         z=complex(z), lam=complex(lam), d=float(d), s=float(s),
@@ -186,7 +180,7 @@ def left_eigvec_check(a, lam: complex, x, tol: float) -> bool:
     """True iff x is also a left eigenvector: ||x*A - lam x*|| <= tol*||A||_F."""
     a = as_square(a)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    resid = float(np.linalg.norm(x.conj() @ a - lam * x.conj()))
+    resid = frob(x.conj() @ a - lam * x.conj())
     return resid <= tol * max(frob(a), EPS)
 
 
@@ -288,7 +282,7 @@ def recheck_witness(a, cert: NormalityCertificate) -> float:
     x = cert.witness_vector
     if x is None or cert.witness is None:
         raise ValueError("certificate carries no witness vector")
-    return float(np.linalg.norm(cert.witness.z * x - a @ x))
+    return frob(cert.witness.z * x - a @ x)
 
 
 def _residual_gate(name: str, value: float, bound: float) -> None:
@@ -354,7 +348,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         probes = select_probes(spectrum, config.probe_angle)
         lams = [spectrum.clusters[p.cluster_index][0] for p in probes]
         # d as probe_evidence computes it
-        bound = [witness_bound(abs(p.z - lam), tol_eq) for p, lam in zip(probes, lams)]
+        bound = [witness_bound(_cabs(p.z - lam), tol_eq) for p, lam in zip(probes, lams)]
         pair = spectral.shifted_smallest_pair(
             an, np.array([p.z for p in probes]), bound=np.array(bound)
         )
@@ -371,39 +365,27 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         probe_evidence(p.z, lam, s_k, tol_eq, ok)
         for p, lam, s_k, ok in zip(probes, lams, pair.s.tolist(), pair.converged.tolist())
     ]
-    jacobi_sweeps = max(pair.sweeps.tolist())
-    commutator = commutator_normality_oracle(a)
+    residuals = Residuals(commutator=commutator_normality_oracle(a))
     failing = [k for k, e in enumerate(evidence) if not e.passed]
+    witness = witness_vector = u = None
     if failing:
-        k = failing[0]
-        return NormalityCertificate(
-            verdict="Nonnormal",
-            evidence=evidence,
-            witness=evidence[k],
-            eigenbasis=None,
-            residuals=Residuals(commutator=commutator),
-            config_echo=config_echo,
-            jacobi_sweeps=jacobi_sweeps,
-            witness_vector=pair.x[k],
-        )
-    unitarity = an.unitarity
-    _residual_gate("unitarity", unitarity, TOL_CERT * n)
-    # Q passed the bound that makes (Q, AQ) the Analysis's basis
-    u, au = an.basis
-    diagonalization = offdiag_frobenius(u.conj().T @ au)
-    _residual_gate("off-diagonal", diagonalization, TOL_CERT * an.scale)
+        witness, witness_vector = evidence[failing[0]], pair.x[failing[0]]
+    else:
+        residuals.unitarity = an.unitarity
+        _residual_gate("unitarity", residuals.unitarity, TOL_CERT * n)
+        # Q passed the bound that makes (Q, AQ) the Analysis's basis
+        u, au = an.basis
+        residuals.diagonalization = offdiag_frobenius(u.conj().T @ au)
+        _residual_gate("off-diagonal", residuals.diagonalization, TOL_CERT * an.scale)
     return NormalityCertificate(
-        verdict="Normal",
+        verdict="Nonnormal" if failing else "Normal",
         evidence=evidence,
-        witness=None,
+        witness=witness,
         eigenbasis=u,
-        residuals=Residuals(
-            commutator=commutator,
-            unitarity=float(unitarity),
-            diagonalization=float(diagonalization),
-        ),
+        residuals=residuals,
         config_echo=config_echo,
-        jacobi_sweeps=jacobi_sweeps,
+        witness_vector=witness_vector,
+        jacobi_sweeps=max(pair.sweeps.tolist()),
     )
 
 

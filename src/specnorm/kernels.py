@@ -52,8 +52,8 @@ result, and neither is one of a matrix with a nonzero column of norm below
 sqrt(TINY), about 1.5e-154, where its squared norm underflows (below about
 1e-161 it reads 0): `jacobi_svd` flags the item with NaN, and `svd` raises
 NonFiniteError for it.
-numpy is used for array arithmetic only; no numpy.linalg factorizations are
-called on any production path.
+numpy is used for array arithmetic only; no module of the package calls
+numpy.linalg.
 """
 
 from __future__ import annotations
@@ -148,18 +148,19 @@ def _reflector(x: np.ndarray) -> np.ndarray | None:
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Full QR factorization A = Q R of a square matrix (else DimensionError).
 
-    Q is unitary, R is upper triangular with a real nonnegative diagonal.
+    Q is unitary, R is upper triangular with a diagonal that is real and
+    nonnegative up to rounding: a pivot is divided by its phase, which can
+    leave an imaginary part of the order of EPS times its modulus.
     """
-    a = as_square(a)
-    n = a.shape[0]
-    r = a.copy()
+    r = as_square(a)
+    n = r.shape[0]
     q = np.eye(n, dtype=np.complex128)
     for k in range(n - 1):
         v = _reflector(r[k:, k])
         if v is None:
             continue
-        r[k:, k:] -= 2.0 * np.outer(v, v.conj() @ r[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v.conj())
+        r[k:, k:] -= 2.0 * (v[:, None] * (v.conj() @ r[k:, k:]))
+        q[:, k:] -= 2.0 * ((q[:, k:] @ v)[:, None] * v.conj())
     # make the R diagonal real nonnegative so the factorization is unique
     for k in range(n):
         piv = r[k, k]
@@ -193,8 +194,8 @@ def hessenberg(a) -> np.ndarray:
         v = _reflector(h[k + 1 :, k])
         if v is None:
             continue
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        qh[:, k + 1 :] -= 2.0 * np.outer(stack[:, :, k + 1 :] @ v, v.conj())
+        h[k + 1 :, k:] -= 2.0 * (v[:, None] * (v.conj() @ h[k + 1 :, k:]))
+        qh[:, k + 1 :] -= 2.0 * ((stack[:, :, k + 1 :] @ v).reshape(-1, 1) * v.conj())
     # entries below the first subdiagonal are reflection round-off
     for j in range(n - 2):
         h[j + 2 :, j] = 0.0
@@ -410,9 +411,9 @@ def _jacobi(
 
     x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
     entries of the columns; the remaining entries ride along (in
-    `jacobi_svd` with vectors they are the rows of V). A C-contiguous x is
-    rotated in place (`jacobi_svd`, its one caller, passes its own fresh
-    array); any other x is rotated in a C-contiguous copy.
+    `jacobi_svd` with vectors they are the rows of V). x must be
+    C-contiguous and is rotated in place: `jacobi_svd`, its one caller,
+    passes its own fresh array.
     Each sweep runs the steps of `_round_robin(n)`, and each step rotates
     all its disjoint pairs in all live items at once, from fresh inner
     products (`np.vecdot`, which conjugates its first argument).
@@ -449,15 +450,14 @@ def _jacobi(
     returned columns. Entries outside about 1e-145..1e154 give non-finite
     columns; `jacobi_svd` flags those.
     """
-    w = np.ascontiguousarray(x)
-    b, n, _ = w.shape
+    b, n, _ = x.shape
     ctol = 8.0 * EPS * rows
     steps = _round_robin(n)
     converged = np.zeros(b, dtype=bool)
     off = np.zeros(b)
     sweeps = np.zeros(b, dtype=np.int64)
     live = np.arange(b)
-    work = w
+    work = x
     # the bound of each live item, against each of its columns
     limit = None if bound is None else bound[:, None]
     sweep = 0
@@ -497,7 +497,7 @@ def _jacobi(
             left = live[done]
             converged[left] = True
             sweeps[left] = sweep
-            w[left] = work[done]
+            x[left] = work[done]
             live, work = live[~done], work[~done]
             if bound is not None:
                 limit = limit[~done]
@@ -508,7 +508,7 @@ def _jacobi(
                 break
     if live.size:
         sweeps[live] = sweep
-        w[live] = work
+        x[live] = work
     if live.size and not stopped:
         h = work[..., :rows]
         gram = h.conj() @ h.transpose(0, 2, 1)
@@ -517,7 +517,7 @@ def _jacobi(
         scale = norms[:, p] * norms[:, q]
         ratio = np.abs(gram[:, p, q]) / np.where(scale > 0.0, scale, np.inf)
         off[live] = ratio.max(axis=1, initial=0.0)
-    return w, converged, off, sweeps, stopped
+    return x, converged, off, sweeps, stopped
 
 
 # per-item status of jacobi_svd: the failures in the order it checks an
@@ -675,12 +675,12 @@ def rank_with_tol(a, tol: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gram_schmidt_orthonormalize(vectors, kappa_rank: float | None = None):
+def gram_schmidt_orthonormalize(vectors):
     """Orthonormalize a sequence of vectors by modified Gram-Schmidt.
 
     Two MGS passes per vector for numerical orthogonality. Raises
     DependenceError naming the first vector whose projected residual falls
-    below kappa_rank times the input scale.
+    to 10*EPS*max(count, length) times the largest input norm or below.
     """
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not vecs:
@@ -689,19 +689,17 @@ def gram_schmidt_orthonormalize(vectors, kappa_rank: float | None = None):
     for i, v in enumerate(vecs):
         if v.shape[0] != dim:
             raise DimensionError(f"vector {i} has length {v.shape[0]}, expected {dim}")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise NonFiniteError(f"vector {i} contains NaN or Inf")
-    scale = max(float(np.linalg.norm(v)) for v in vecs)
-    if kappa_rank is None:
-        kappa_rank = max(len(vecs), dim) * EPS * 10.0
+    tol = max(len(vecs), dim) * EPS * 10.0 * max(frob(v) for v in vecs)
     out: list[np.ndarray] = []
     for i, v in enumerate(vecs):
         w = v.copy()
         for _ in range(2):
             for u in out:
                 w = w - (u.conj() @ w) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm <= kappa_rank * scale:
+        nrm = frob(w)
+        if nrm <= tol:
             raise DependenceError(
                 f"vector {i} is numerically dependent on its predecessors "
                 f"(residual norm {nrm:.3e})",

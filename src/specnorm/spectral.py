@@ -149,33 +149,26 @@ def cluster_spectrum(raw, scale: float, cluster_tol: float | None = None) -> Spe
     check_tolerance("cluster_tol", cluster_tol)
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL * scale
-    n = raw.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
     vals = raw.tolist()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _cabs(vals[i] - vals[j]) <= cluster_tol:
-                union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    # the connected components of the graph joining values within
+    # cluster_tol, each grown from the smallest index not yet reached, so
+    # they come in order of their smallest member
+    groups = []
+    unvisited = list(range(raw.size))
+    while unvisited:
+        members = [unvisited.pop(0)]
+        # the loop also visits the members appended while it runs
+        for k in members:
+            near = [j for j in unvisited if _cabs(vals[k] - vals[j]) <= cluster_tol]
+            unvisited = [j for j in unvisited if j not in near]
+            members += near
+        groups.append(sorted(members))
     # np.mean of one value v is (v + 0j) / 1 bit for bit: a sum from zero,
-    # which turns a -0.0 part into 0.0, then a complex division by the count
+    # which turns a -0.0 part into 0.0, then a complex division by the count;
+    # the members go in ascending order, which fixes the order of the sum
     clusters = [
         ((vals[idx[0]] + 0j) / 1 if len(idx) == 1 else complex(np.mean(raw[idx])), len(idx))
-        for idx in groups.values()
+        for idx in groups
     ]
     # merge representatives that landed within the threshold of each other
     merged = True

@@ -549,14 +549,23 @@ class TestCli:
         assert outs[0] == outs[1]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
-        p1 = tmp_path / "env.json"
-        p2 = tmp_path / "flag.json"
-        monkeypatch.setenv("SPECNORM_SEED", "77")
-        main(["gen", "--kind", "ginibre", "--n", "3", "--output", str(p1)])
-        monkeypatch.delenv("SPECNORM_SEED")
-        main(["gen", "--kind", "ginibre", "--n", "3", "--seed", "77",
-              "--output", str(p2)])
-        assert p1.read_bytes() == p2.read_bytes()
+        # gen writes the seed it used, and --eps as meta.param
+        for kind, extra, meta in [
+            ("ginibre", [], {}),
+            ("near_normal", ["--eps", "1e-3"], {"param": 1e-3}),
+        ]:
+            p1 = tmp_path / "env.json"
+            p2 = tmp_path / "flag.json"
+            monkeypatch.setenv("SPECNORM_SEED", "77")
+            main(["gen", "--kind", kind, "--n", "3", "--output", str(p1)] + extra)
+            monkeypatch.delenv("SPECNORM_SEED")
+            main(["gen", "--kind", kind, "--n", "3", "--seed", "77",
+                  "--output", str(p2)] + extra)
+            assert p1.read_bytes() == p2.read_bytes()
+            doc = json.loads(p2.read_text())
+            assert doc["meta"] == {"kind": kind, "n": 3, "seed": 77, **meta}
+            a = generate_matrix(kind, 3, 77, meta.get("param"))
+            assert np.array_equal(snio.matrix_from_dict(doc), a)
 
 
 class TestOneAnalysis:

@@ -1,6 +1,8 @@
 """Kernel factorization tests: frozen examples, residual properties, oracles."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,46 @@ class TestNorm:
 
     def test_frob_takes_integers_as_float(self):
         assert kernels.frob(np.array([[3, 0], [0, 4]])) == 5.0
+
+
+def linalg_uses(source: str) -> list[int]:
+    """Lines of source that import numpy.linalg or read a `linalg` attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            alias.name.startswith("numpy.linalg") for alias in node.names
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.linalg")
+            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestNoNumpyLinalg:
+    """numpy.linalg is a test and benchmark reference only: no module of the package uses it."""
+
+    def test_package_never_uses_numpy_linalg(self):
+        package = Path(kernels.__file__).parent
+        found = {
+            path.name: linalg_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))
+        }
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_guard_sees_every_spelling_but_not_docstrings(self):
+        source = (
+            '"""np.linalg.norm is only named here."""\n'
+            "import numpy.linalg\n"
+            "from numpy import linalg\n"
+            "from numpy.linalg import norm\n"
+            "x = np.linalg.norm(v)\n"
+        )
+        assert linalg_uses(source) == [2, 3, 4, 5]
 
 
 class TestAsSquare:

@@ -45,6 +45,13 @@ class TestClusterSpectrum:
         assert len(s.clusters) == 1
         assert s.clusters[0][1] == 3
 
+    def test_close_means_of_two_components_merge(self):
+        # the third value is 1.05e-8 from both others, so the components are
+        # {0, 0.9e-8} and {0.45e-8 + 0.95e-8j}; their means are 9.5e-9 apart,
+        # within the threshold, so the representatives merge, weighted 2:1
+        s = cluster_spectrum([0.0, 0.9e-8, 0.45e-8 + 0.95e-8j], scale=1.0, cluster_tol=1e-8)
+        assert s.clusters == [(complex(4.5e-9, 3.1666666666666667e-9), 3)]
+
     def test_multiplicities_sum_to_n(self):
         rng = np.random.default_rng(4)
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
