@@ -5,7 +5,10 @@ smallest singular value equals the distance to the spectrum at every probe,
 the matrix is normal. A failing probe is itself a nonnormality witness: the
 test is one-sided, ||(zI - A)x|| >= s(z) for every unit x and s(z) <= d(z),
 so a unit x with ||(zI - A)x|| below d(z) - tol_eq decides Nonnormal, and
-certify stops the probe Jacobi as soon as one appears. The
+certify stops the probe Jacobi as soon as one appears. The probe Jacobi runs
+for values only; only the witness needs a vector, and it comes from the
+witness probe's stopped column by one back substitution against the Schur
+triangle T, checked against A before it is kept. The
 certificate of a Normal verdict is the unitary factor Q of the Schur form
 A = Q T Q* that also gave the spectrum: T is diagonal for a normal matrix, so
 Q is an orthonormal eigenbasis, checked by ||Q*Q - I||_F and by
@@ -199,7 +202,7 @@ def semisimple_check(
     b = complex(lam) * np.eye(n, dtype=np.complex128) - a
     s_k = n - kernels.rank_with_tol(b, tol * scale)
     b2 = b @ b
-    sigma2 = kernels.svd(b2).sigma
+    sigma2 = kernels.svd(b2, vectors=False).sigma
     thresh2 = max((tol * scale) ** 2, n * EPS * float(sigma2[0]))
     k2 = n - int(np.sum(sigma2 > thresh2))
     if multiplicity is None:
@@ -282,7 +285,81 @@ def recheck_witness(a, cert: NormalityCertificate) -> float:
     x = cert.witness_vector
     if x is None or cert.witness is None:
         raise ValueError("certificate carries no witness vector")
-    return frob(cert.witness.z * x - a @ x)
+    return _witness_residual(a, cert.witness.z, x)
+
+
+def _witness_residual(a: np.ndarray, z: complex, x: np.ndarray) -> float:
+    """||(zI - A)x||_2, one matrix-vector product: recheck_witness's arithmetic."""
+    return frob(z * x - a @ x)
+
+
+def _back_substituted_witness(
+    an: spectral.Analysis, z: complex, w: np.ndarray, bound: float
+) -> np.ndarray | None:
+    """The unit x of a failing probe z, from its least column w; None unless it proves the failure.
+
+    With B = Q, w = (zQ - AQ)v for a unit v, and zQ - AQ = Q(zI - T) up to
+    the Schur residual, so one back substitution v = (zI - T)^{-1} Q*w over
+    T's entries as Python complex, a backward-stable solve, gives v up to
+    round-off; x = Qv/||Qv||, with v's phase pinned as jacobi_svd pins V's
+    columns (`_pin_phases`'s rule).
+    x is kept only when `_witness_residual` is below the probe's witness
+    bound. None for B = I, a zero pivot z - t_ii, a v whose norm is zero or
+    not finite, or an x that misses the bound.
+    """
+    q, _ = an.basis
+    if q is None:
+        return None
+    t = an.schur.t.tolist()
+    v = (q.conj().T @ w).tolist()
+    n = len(v)
+    for i in range(n - 1, -1, -1):
+        pivot = z - t[i][i]
+        if pivot == 0:
+            return None
+        row = t[i]
+        acc = v[i]
+        for j in range(i + 1, n):
+            acc += row[j] * v[j]
+        v[i] = acc / pivot
+    # ||v|| finite and nonzero keeps the numpy steps below clear of overflow
+    # and of a division by zero
+    mags = [_cabs(c) for c in v]
+    nv = math.hypot(*mags)
+    if not 0.0 < nv < math.inf:
+        return None
+    # _pin_phases's rule on Python scalars: on one vector its numpy calls
+    # cost as much as the rest of this function
+    top = 1e-12 * max(mags)
+    pin = next(m / c for c, m in zip(v, mags) if m > top)
+    x = q @ (np.array(v) * (pin / nv))
+    x = x / frob(x)
+    if not _witness_residual(an.a, z, x) < bound:
+        return None
+    return x
+
+
+def _witness(
+    an: spectral.Analysis, e: ProbeEvidence, w: np.ndarray, bound: float, tol_eq: float
+) -> tuple[ProbeEvidence, np.ndarray]:
+    """The witness evidence and witness_vector of the failing probe e.
+
+    x comes from `_back_substituted_witness` and e stands as it is. Where
+    that gives None, the probe runs alone through
+    spectral.shifted_smallest_pair with V and its bound, and s, converged
+    and x all come from that one run, so ||(zI - A)x|| is again its s. That
+    run continues past the sweep at which the stack stopped whenever another
+    probe stopped it; should it then pass, certify raises IndeterminateError
+    rather than name a witness that is not one.
+    """
+    x = _back_substituted_witness(an, e.z, w, bound)
+    if x is not None:
+        return e, x
+    alone = spectral.shifted_smallest_pair(an, e.z, bound=bound)
+    e = probe_evidence(e.z, e.lam, alone.s, tol_eq, alone.converged)
+    if e.passed:
+        raise IndeterminateError(f"probe {e.z} fails in the probe stack but passes alone")
+    return e, alone.x
 
 
 def _residual_gate(name: str, value: float, bound: float) -> None:
@@ -297,36 +374,44 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     """Full probe pipeline deciding normality of a matrix or an Analysis.
 
     Schur -> cluster -> probe placement -> the equality test at every
-    probe, from one spectral.shifted_smallest_pair call over all probe
-    shifts (one stacked kernels.svd while the stack fits in
-    spectral.STACK_ENTRIES). The call carries each probe's witness_bound,
-    so the Jacobi stops after the first sweep that leaves a probe still
-    rotating with a column norm below it: that probe fails, whatever more
-    sweeps would give, because a column norm is ||(zI - A)x|| for a unit x
-    and so at least s(z). The probes still rotating then are not converged; their s is an
-    upper bound and their gap a lower bound. A stack with no such column
-    runs to convergence exactly as without bounds. When probes fail, the
-    lowest-index one at the sweep where the stack stopped (which can differ
-    from the first failing probe of a converged stack) is the witness, and
-    its x, from the same stack, is the witness_vector, with
-    ||(zI - A)x|| = s, up to round-off. jacobi_sweeps records that sweep.
+    probe, from one spectral.shifted_smallest_column call over all probe
+    shifts (one values-only kernels.svd stack while it fits in
+    spectral.STACK_ENTRIES, at n*n entries per probe). The call carries
+    each probe's witness_bound, so the Jacobi stops after the first sweep
+    that leaves a probe still rotating with a column norm below it: that
+    probe fails, whatever more sweeps would give, because a column norm is
+    ||(zI - A)x|| for a unit x and so at least s(z). The probes still
+    rotating then are not converged; their s is an upper bound and their gap
+    a lower bound. A stack with no such column runs to convergence exactly
+    as without bounds. When probes fail, the lowest-index one at the sweep
+    where the stack stopped (which can differ from the first failing probe
+    of a converged stack) is the witness, and jacobi_sweeps records that
+    sweep. The stack carries no V: the witness_vector x is recovered from
+    the witness's column of least norm w = (zQ - AQ)v by one back
+    substitution, v = (zI - T)^{-1} Q*w and x = Qv/||Qv||, and kept once
+    ||(zI - A)x|| is below the witness bound. Where it is not (the columns
+    were those of zI - A, a pivot of zI - T is zero, or x misses the bound),
+    the witness probe runs again alone with V through
+    spectral.shifted_smallest_pair, and its s and x both come from that run.
+    Either way ||(zI - A)x|| = s, up to round-off.
     On a clean pass every probe has converged, and the Schur vectors are
     attached as the eigenbasis once they meet the residual bounds
     ||U*U - I||_F <= TOL_CERT*n and ||offdiag(U*AU)||_F <= TOL_CERT*scale.
     The unitarity residual is the Analysis's own, computed once: it also
     decides the basis of the probe stack. When it meets its bound, the
     probe columns are those of (zI - A)Q = zQ - AQ, nearly orthogonal for a
-    normal or near-normal matrix, so the Jacobi needs few sweeps, and the
-    witness vector is x = Qv; otherwise they are the columns of zI - A.
+    normal or near-normal matrix, so the Jacobi needs few sweeps; otherwise
+    they are the columns of zI - A.
     The unitarity gate is checked first, so the off-diagonal residual reads
     the same AQ and no certify forms it twice.
     Either way they are formed from A, and Q only rotates: s moves by at
     most ||zI - A||_2 ||Q*Q - I||_2, and recheck_witness checks x against A
     itself. Kernel non-convergence or a residual over its bound raises
-    IndeterminateError rather than guessing. A NaN, infinite or negative
-    tolerance, or a non-finite probe angle, raises ValueError. A finite
-    matrix whose ||A||_F overflows, so that no default tolerance is finite,
-    raises NonFiniteError once its Schur form has converged.
+    IndeterminateError rather than guessing, and so does a witness probe
+    that fails in the stack but passes when run alone. A NaN, infinite or
+    negative tolerance, or a non-finite probe angle, raises ValueError. A
+    finite matrix whose ||A||_F overflows, so that no default tolerance is
+    finite, raises NonFiniteError once its Schur form has converged.
     """
     an = spectral.analyze(a)
     a = an.a
@@ -349,9 +434,19 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         lams = [spectrum.clusters[p.cluster_index][0] for p in probes]
         # d as probe_evidence computes it
         bound = [witness_bound(_cabs(p.z - lam), tol_eq) for p, lam in zip(probes, lams)]
-        pair = spectral.shifted_smallest_pair(
+        stack = spectral.shifted_smallest_column(
             an, np.array([p.z for p in probes]), bound=np.array(bound)
         )
+        evidence = [
+            probe_evidence(p.z, lam, s_k, tol_eq, ok)
+            for p, lam, s_k, ok in zip(probes, lams, stack.s.tolist(), stack.converged.tolist())
+        ]
+        failing = [k for k, e in enumerate(evidence) if not e.passed]
+        witness = witness_vector = u = None
+        if failing:
+            k = failing[0]
+            witness, witness_vector = _witness(an, evidence[k], stack.w[k], bound[k], tol_eq)
+            evidence[k] = witness
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
     config_echo = {
@@ -361,16 +456,8 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         "tie_margin": TIE_MARGIN,
         "tol_cert": TOL_CERT,
     }
-    evidence = [
-        probe_evidence(p.z, lam, s_k, tol_eq, ok)
-        for p, lam, s_k, ok in zip(probes, lams, pair.s.tolist(), pair.converged.tolist())
-    ]
     residuals = Residuals(commutator=commutator_normality_oracle(a))
-    failing = [k for k, e in enumerate(evidence) if not e.passed]
-    witness = witness_vector = u = None
-    if failing:
-        witness, witness_vector = evidence[failing[0]], pair.x[failing[0]]
-    else:
+    if not failing:
         residuals.unitarity = an.unitarity
         _residual_gate("unitarity", residuals.unitarity, TOL_CERT * n)
         # Q passed the bound that makes (Q, AQ) the Analysis's basis
@@ -385,7 +472,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         residuals=residuals,
         config_echo=config_echo,
         witness_vector=witness_vector,
-        jacobi_sweeps=max(pair.sweeps.tolist()),
+        jacobi_sweeps=max(stack.sweeps.tolist()),
     )
 
 

@@ -21,7 +21,8 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = kernels.householder_qr(_ginibre(rng, n))
-    # fix the R-diagonal phases so the distribution is Haar
+    # fix the R-diagonal phases so the distribution is Haar; householder_qr's
+    # diagonal is real only up to rounding, so this still moves Q's last bits
     d = np.diag(r).copy()
     d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
     return q * d[np.newaxis, :]

@@ -2,8 +2,8 @@
 
 Self-contained factorizations for desk-scale matrices: Householder QR and
 Hessenberg reduction (one reflector) plus shifted-QR Schur form, one-sided
-Jacobi singular values (sigma and V of a square matrix, no U), rank at
-tolerance, and modified Gram-Schmidt.
+Jacobi singular values (sigma, and V when asked for, of a square matrix, no
+U), rank at tolerance, and modified Gram-Schmidt.
 The Hessenberg reduction and the Schur form keep Q and H in one (2n, n)
 array, Q on top of H, so a transform from the right updates both factors in
 one numpy call: a reflector's rank-one update of the buffer's columns, and a
@@ -38,10 +38,14 @@ as without one, bit for bit.
 `jacobi_svd`, the core's one entry point, runs it once on the columns of
 every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
 (no U: nothing reads it), and reports a status per item instead of raising;
-`svd` is its raising wrapper. The certifier evaluates all its probes as one
-`svd` stack (through `spectral.shifted_smallest_pair`), and `scan.scan_grid`
-and `scan.check_corollary` all their shifts of one matrix as values-only
-stacks (through `spectral.shifted_sigma_min_batch`), built in `spectral`
+with or without V it returns each item's rotated column of least norm, the
+image A_i v of the v that sigma_min's column of V would hold. `svd` is its
+raising wrapper, with V or values only. The certifier evaluates all its
+probes as one values-only `svd` stack (through
+`spectral.shifted_smallest_column`) and recovers its witness vector from
+that least column; `scan.scan_grid` and `scan.check_corollary` evaluate all
+their shifts of one matrix as values-only stacks too (through
+`spectral.shifted_sigma_min_batch`). Every stack is built in `spectral`
 as zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
 ||Q*Q - I||_F meets certify's bound TOL_CERT*n, which makes the columns
 nearly orthogonal for a normal or near-normal A and moves the singular
@@ -355,16 +359,19 @@ def schur(a) -> SchurResult:
 class SvdResult:
     """Singular values and right singular vectors of a square matrix A.
 
-    sigma is sorted non-increasing and V is unitary; column i of A V is
-    orthogonal to the others and has norm sigma[i]. converged is False, per
-    item, where a bound stopped the sweeps first: sigma is then the column
-    norms of A V, not yet orthogonal, and sweeps counts the sweeps run.
+    sigma is sorted non-increasing and V is unitary (None when only values
+    were asked for); column i of A V is orthogonal to the others and has norm
+    sigma[i]. converged is False, per item, where a bound stopped the sweeps
+    first: sigma is then the column norms of A V, not yet orthogonal, and
+    sweeps counts the sweeps run. least is the column of A V of least norm,
+    sigma[..., -1], with or without V.
     """
 
     sigma: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     converged: np.ndarray | bool = True
     sweeps: np.ndarray | None = None
+    least: np.ndarray | None = None
 
 
 @lru_cache(maxsize=None)
@@ -536,11 +543,13 @@ _NONFINITE = {
 
 @dataclass
 class JacobiStack:
-    """Per item of a stack: sigma (B, n), V (B, n, n) or None, and status,
-    residual and the sweeps it took part in (B,)."""
+    """Per item of a stack: sigma (B, n), V (B, n, n) or None, the column of
+    A_i V_i of least norm (B, n), and status, residual and the sweeps it took
+    part in (B,)."""
 
     sigma: np.ndarray
     v: np.ndarray | None
+    least: np.ndarray
     status: np.ndarray
     residual: np.ndarray
     sweeps: np.ndarray
@@ -558,6 +567,9 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     rotates nothing in it. One `_jacobi` call rotates the columns of every
     A_i, or of every [A_i; I] so that V's rows ride along; sigma is the
     column norms sorted non-increasing, and `_pin_phases` pins V's columns.
+    least is, per item, the rotated column A_i v whose norm is sigma[:, -1],
+    gathered with or without vectors; with them, v is V's last column up to
+    its pinned phase.
     An item still rotating after MAX_JACOBI_SWEEPS is UNCONVERGED (residual:
     the largest coupling left, else 0), and one with a non-finite sigma
     (entries outside about 1e-145..1e154) NONFINITE_SIGMA.
@@ -571,8 +583,8 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     bits as without one. sigma is NaN on every item that is neither OK,
     STOPPED nor UNCONVERGED. sweeps counts the sweeps an item took part in,
     its last one included. The A part takes the same arithmetic with or
-    without vectors, alone or in any stack, so sigma, status, residual and
-    sweeps are bit-identical either way, for the same bound.
+    without vectors, alone or in any stack, so sigma, least, status,
+    residual and sweeps are bit-identical either way, for the same bound.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or min(stack.shape) < 1 or stack.shape[1] != stack.shape[2]:
@@ -619,17 +631,21 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
         cols = x[items, order, n:]
         v = _pin_phases(cols).transpose(0, 2, 1)
     sigma = norms[items, order]
-    return JacobiStack(sigma, v, status, residual, sweeps)
+    least = x[items[:, 0], order[:, -1], :n]
+    return JacobiStack(sigma, v, least, status, residual, sweeps)
 
 
-def svd(a, bound=None) -> SvdResult:
+def svd(a, bound=None, vectors: bool = True) -> SvdResult:
     """Singular values and right singular vectors of a square matrix or a stack.
 
     a is an (n, n) matrix or a (B, n, n) stack, as for numpy.linalg.svd; the
-    result is sigma (n,) and V (n, n), or sigma (B, n) and V (B, n, n), of
-    one jacobi_svd call with vectors, with converged and sweeps of shape ()
-    or (B,). Accurate for small singular values, which is what the
-    shifted-matrix consumers need. Any other shape raises DimensionError.
+    result is sigma (n,), V (n, n) and the least column (n,), or sigma
+    (B, n), V (B, n, n) and least (B, n), of one jacobi_svd call, with
+    converged and sweeps of shape () or (B,). Without vectors the call runs
+    on the columns of A alone and V is None; sigma, least, converged and
+    sweeps are the same bits either way. Accurate for small singular values,
+    which is what the shifted-matrix consumers need. Any other shape raises
+    DimensionError.
     bound, of shape () or (B,), goes to jacobi_svd: an item it stopped is
     not converged, and its sigma is its column norms (the smallest an upper
     bound on sigma_min) and V their unit preimages. Without a bound every
@@ -641,7 +657,7 @@ def svd(a, bound=None) -> SvdResult:
     m = np.asarray(a, dtype=np.complex128)
     if bound is not None and m.ndim == 2:
         bound = np.asarray(bound, dtype=np.float64)[None]
-    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=True, bound=bound)
+    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=vectors, bound=bound)
     failed = (res.status != OK) & (res.status != STOPPED)
     if failed.any():
         i = int(np.argmax(failed))
@@ -656,9 +672,10 @@ def svd(a, bound=None) -> SvdResult:
     items = m.shape[:-2]
     return SvdResult(
         res.sigma.reshape(m.shape[:-1]),
-        res.v.reshape(m.shape),
+        None if res.v is None else res.v.reshape(m.shape),
         (res.status == OK).reshape(items),
         res.sweeps.reshape(items),
+        res.least.reshape(m.shape[:-1]),
     )
 
 
@@ -666,7 +683,7 @@ def rank_with_tol(a, tol: float) -> int:
     """Number of singular values strictly above tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    sigma = svd(a).sigma
+    sigma = svd(a, vectors=False).sigma
     return int(np.sum(sigma > tol))
 
 

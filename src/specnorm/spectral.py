@@ -6,10 +6,12 @@ holds for every square matrix, with equality everywhere exactly when the
 matrix is normal.
 
 Every stack of shifted matrices that goes to the Jacobi kernel's one entry
-point, kernels.jacobi_svd (with V through kernels.svd), is built here, by
-`_shifted_stacks`, as the columns zB - AB = (zI - A)B for a basis B with AB
-formed once per matrix; a minimizing right singular vector v of the stack
-item maps back to x = Bv for zI - A. B is the Schur factor Q when the
+point, kernels.jacobi_svd (directly, or through kernels.svd with V or values
+only), is built here, by `_shifted_stacks`, as the columns
+zB - AB = (zI - A)B for a basis B with AB formed once per matrix; a
+minimizing right singular vector v of the stack item maps back to x = Bv for
+zI - A, and a values-only stack returns instead the column (zB - AB)v of
+least norm. B is the Schur factor Q when the
 caller passes an Analysis whose Q meets ||Q*Q - I||_F <= TOL_CERT*n (the
 bound of certify's Normal gate, which reads the same residual). Since
 (zI - A)Q = Q(zI - T) and T is nearly diagonal for a normal or near-normal
@@ -41,7 +43,8 @@ CLUSTER_TOL = 1e-7
 # is the basis of the shifted columns
 TOL_CERT = 1e-8
 # complex entries per stack of shifted matrices in one kernels.jacobi_svd call
-# (direct, or through kernels.svd)
+# (direct, or through kernels.svd): n*n per item of a values-only stack,
+# 2*n*n per item of one that carries V
 STACK_ENTRIES = 1 << 16
 
 
@@ -239,7 +242,7 @@ def _shifted_stacks(b, ab: np.ndarray, zs: np.ndarray, entries_per_item: int):
 
 
 class SmallestPair(NamedTuple):
-    """What shifted_smallest_pair returns, each shaped like its z."""
+    """What shifted_smallest_pair returns, each shaped like its z (x with a trailing n)."""
 
     s: np.ndarray | float
     x: np.ndarray
@@ -247,24 +250,23 @@ class SmallestPair(NamedTuple):
     sweeps: np.ndarray | int
 
 
-def shifted_smallest_pair(a, z, bound=None) -> SmallestPair:
-    """s(z) = sigma_n(zI - A) and a unit right singular vector x(z) for it.
+class SmallestColumn(NamedTuple):
+    """What shifted_smallest_column returns, each shaped like its z (w with a trailing n)."""
 
-    z is a scalar, giving s as a float and x of shape (n,), or a 1-D array
-    of p shifts, giving s of shape (p,) and x of shape (p, n); a is a matrix
-    or an Analysis. ||(zI - A)x|| = s(z), so x is a minimizing direction.
+    s: np.ndarray | float
+    w: np.ndarray
+    converged: np.ndarray | bool
+    sweeps: np.ndarray | int
+
+
+def _smallest(a, z, bound, vectors: bool) -> tuple:
+    """s, x (with vectors) or w (without), converged and sweeps per z, each shaped like z.
+
     The stacks of zB - AB go to kernels.svd, which runs on their [zB - AB; I]
-    columns (so an item counts 2*n*n toward STACK_ENTRIES), and the smallest
-    right singular vector v of each item maps back as x = Bv, each entry one
-    np.vecdot of a row of B with v, so neither s nor x depends on how the
-    shifts are chunked (a batched v @ B.T can round differently by batch size).
-    converged and sweeps are kernels.svd's per z.
-    bound, shaped like z (else DimensionError), is passed on to kernels.svd
-    per stack: once a z of a stack still rotating has a column norm below
-    its bound, the stack stops, and each z it cut short is not converged.
-    Its s is then ||(zI - A)x|| for the unit x returned, an upper bound on
-    s(z), not s(z) itself. Without a bound every z converges.
-    The first failing z, in order, raises what kernels.svd raises for it.
+    columns with vectors, so that an item counts 2*n*n toward STACK_ENTRIES,
+    and on the columns of zB - AB alone without, n*n. The A part of every
+    item takes the same arithmetic either way, so s, w, converged and sweeps
+    agree bit for bit wherever the stacks split alike.
     """
     b, ab = _basis(a)
     n = ab.shape[0]
@@ -276,31 +278,67 @@ def shifted_smallest_pair(a, z, bound=None) -> SmallestPair:
             raise DimensionError(f"expected a bound of shape {z.shape}, got {bound.shape}")
         bound = bound.reshape(-1)
     s = np.empty(zs.size)
-    x = np.empty((zs.size, n), dtype=np.complex128)
+    vec = np.empty((zs.size, n), dtype=np.complex128)
     converged = np.empty(zs.size, dtype=bool)
     sweeps = np.empty(zs.size, dtype=np.int64)
-    for sl, stack in _shifted_stacks(b, ab, zs, 2):
+    for sl, stack in _shifted_stacks(b, ab, zs, 2 if vectors else 1):
         # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
-        res = kernels.svd(stack, bound=None if bound is None else bound[sl])
-        v = res.v[:, :, -1]
+        res = kernels.svd(stack, None if bound is None else bound[sl], vectors)
         s[sl] = res.sigma[:, -1]
-        x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
+        if not vectors:
+            vec[sl] = res.least
+        elif b is None:
+            vec[sl] = res.v[:, :, -1]
+        else:
+            vec[sl] = np.vecdot(b.conj(), res.v[:, None, :, -1])
         converged[sl] = res.converged
         sweeps[sl] = res.sweeps
-    return SmallestPair(
-        s.reshape(z.shape)[()],
-        x.reshape(z.shape + (n,)),
-        converged.reshape(z.shape)[()],
-        sweeps.reshape(z.shape)[()],
+    return tuple(
+        out.reshape(z.shape + out.shape[1:])[()] for out in (s, vec, converged, sweeps)
     )
+
+
+def shifted_smallest_pair(a, z, bound=None) -> SmallestPair:
+    """s(z) = sigma_n(zI - A) and a unit right singular vector x(z) for it.
+
+    z is a scalar, giving s as a float and x of shape (n,), or a 1-D array
+    of p shifts, giving s of shape (p,) and x of shape (p, n); a is a matrix
+    or an Analysis. ||(zI - A)x|| = s(z), so x is a minimizing direction.
+    The smallest right singular vector v of each stack item (see `_smallest`)
+    maps back as x = Bv, each entry one np.vecdot of a row of B with v, so
+    neither s nor x depends on how the shifts are chunked (a batched v @ B.T
+    can round differently by batch size). converged and sweeps are
+    kernels.svd's per z.
+    bound, shaped like z (else DimensionError), is passed on to kernels.svd
+    per stack: once a z of a stack still rotating has a column norm below
+    its bound, the stack stops, and each z it cut short is not converged.
+    Its s is then ||(zI - A)x|| for the unit x returned, an upper bound on
+    s(z), not s(z) itself. Without a bound every z converges.
+    The first failing z, in order, raises what kernels.svd raises for it.
+    """
+    return SmallestPair(*_smallest(a, z, bound, True))
+
+
+def shifted_smallest_column(a, z, bound=None) -> SmallestColumn:
+    """shifted_smallest_pair's s, converged and sweeps without V, and w for x.
+
+    The stacks run for values only, so an item counts n*n toward
+    STACK_ENTRIES. w is the rotated column of zB - AB whose norm is s: w =
+    (zB - AB)v = (zI - A)Bv for the v that shifted_smallest_pair would map
+    to x, which a caller holding B's factorization can recover from w. Where
+    the stacks split as shifted_smallest_pair's do, s, converged and sweeps
+    are its bits, also under a bound, and so are the raises.
+    """
+    return SmallestColumn(*_smallest(a, z, bound, False))
 
 
 def shifted_smallest_singular(a, z):
     """s(z) = sigma_n(zI - A) at a scalar z (a float) or a 1-D array of z (an array).
 
-    a is a matrix or an Analysis; the values are those of shifted_smallest_pair.
+    a is a matrix or an Analysis; the values are those of shifted_smallest_pair,
+    from values-only stacks.
     """
-    return shifted_smallest_pair(a, z)[0]
+    return shifted_smallest_column(a, z).s
 
 
 def shifted_sigma_min_batch(a, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +387,7 @@ def weyl_bounds_check(m, kappa_weyl: float | None = None) -> WeylReport:
     if kappa_weyl is None:
         kappa_weyl = KAPPA_WEYL * an.scale
     # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
-    sigma = kernels.svd(an.a).sigma
+    sigma = kernels.svd(an.a, vectors=False).sigma
     eigs = an.schur.eigenvalues
     mods = np.sort(np.abs(eigs))[::-1]
     report = WeylReport(

@@ -12,7 +12,7 @@ from specnorm import kernels, spectral
 from specnorm.certifier import commutator_normality_oracle
 from specnorm.cli import build_parser, main
 from specnorm.errors import ConvergenceError, NonFiniteError
-from specnorm.generators import KINDS, generate_matrix
+from specnorm.generators import KINDS, _ginibre, _haar_unitary, generate_matrix
 from specnorm.kernels import frob
 from specnorm.scan import (
     FLAG_AT_EIGENVALUE,
@@ -29,12 +29,16 @@ PHI_MINUS = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def unconverge_item(monkeypatch, item):
-    """Make values-only kernels.jacobi_svd calls report one stack item unconverged."""
+    """Make values-only kernels.jacobi_svd calls without a bound report one item unconverged.
+
+    Those are the scan and corollary stacks; certify's probe stack, values
+    only too, carries a bound and is left alone.
+    """
     original = kernels.jacobi_svd
 
-    def patched(stack, vectors, **kwargs):
-        res = original(stack, vectors, **kwargs)
-        if not vectors:
+    def patched(stack, vectors, bound=None):
+        res = original(stack, vectors, bound)
+        if not vectors and bound is None:
             res.status[item] = kernels.UNCONVERGED
         return res
 
@@ -102,6 +106,19 @@ class TestGenerators:
         a = generate_matrix(kind, 5, 42, param)
         b = generate_matrix(kind, 5, 42, param)
         assert np.array_equal(a, b)
+
+    def test_haar_phase_fix_moves_bits(self):
+        # householder_qr leaves R's diagonal real only up to rounding, so the
+        # phase fix is not a no-op: every normal, unitary and near_normal
+        # input depends on it
+        def bare(n, seed):
+            return kernels.householder_qr(_ginibre(np.random.default_rng(seed), n))[0]
+
+        moved = [
+            (n, seed) for n in range(1, 17) for seed in range(4)
+            if not np.array_equal(_haar_unitary(np.random.default_rng(seed), n), bare(n, seed))
+        ]
+        assert moved
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

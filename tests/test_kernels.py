@@ -817,6 +817,52 @@ class TestSvdStack:
         with pytest.raises(DimensionError):
             kernels.svd(np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
+    def test_values_only_keeps_every_bit_but_v(self, kind, bounded):
+        # without V the core runs on A's columns alone: sigma, the least
+        # column, converged and sweeps are those of the run with V
+        param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
+        a = generate_matrix(kind, 6, 8, param)
+        stack = shifted_stack(a, np.linspace(-2, 2, 4))
+        bound = 0.5 * kernels.svd(stack).sigma[:, 0] if bounded else None
+        full = kernels.svd(stack, bound)
+        values = kernels.svd(stack, bound, vectors=False)
+        assert values.v is None
+        for name in ("sigma", "least", "converged", "sweeps"):
+            assert np.array_equal(getattr(values, name), getattr(full, name)), name
+        if bounded:
+            assert not full.converged.all()
+
+    def test_least_column_is_a_times_the_last_v(self):
+        # ||least|| is sigma_min in sigma's own arithmetic; with V it is
+        # A v for the last column v, up to round-off and v's pinned phase
+        a = generate_matrix("ginibre", 5, 3)
+        stack = shifted_stack(a, np.linspace(-1, 1, 3))
+        res = kernels.svd(stack)
+        norms = np.sqrt(np.add.reduce(np.square(np.abs(res.least)), axis=-1))
+        assert np.array_equal(norms, res.sigma[:, -1])
+        for m, v, least in zip(stack, res.v, res.least):
+            image = m @ v[:, -1]
+            phase = np.vdot(least, image) / abs(np.vdot(least, image))
+            assert np.linalg.norm(image - phase * least) <= 1e-13 * np.linalg.norm(m)
+        one = kernels.svd(stack[0], vectors=False)
+        assert one.v is None and np.array_equal(one.least, res.least[0])
+
+    def test_values_only_raises_as_with_vectors(self, monkeypatch):
+        stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            kernels.svd(stack, vectors=False)
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        m = 0.5 * np.eye(6) - generate_matrix("ginibre", 6, 2)
+        with pytest.raises(ConvergenceError) as full:
+            kernels.svd(m)
+        with pytest.raises(ConvergenceError) as values:
+            kernels.svd(m, vectors=False)
+        assert str(values.value) == str(full.value)
+        assert values.value.residual == full.value.residual
+
 
 class TestJacobiBound:
     # a per-item bound stops the core after the first sweep that leaves an
