@@ -14,7 +14,12 @@ A = Q T Q* that also gave the spectrum: T is diagonal for a normal matrix, so
 Q is an orthonormal eigenbasis, checked by ||Q*Q - I||_F and by
 ||offdiag(Q*AQ)||_F, Henrici's departure from normality. The definitional
 commutator residual ||A*A - AA*||_F is always computed as an independent
-cross-check.
+cross-check, and first: it screens which matrices may be near normal. For
+those, the two residuals of Q are checked before any probe Jacobi runs, and
+when both meet their bounds, the same M = Q*AQ gives a rigorous lower bound
+on s(z) at every probe (`_schur_bound_evidence`). When that bound proves
+every probe, the verdict is Normal with no Jacobi at all; otherwise the
+probe Jacobi decides every probe, as for a matrix the screen refused.
 
 The structural checks (semisimplicity, left eigenvectors, orthogonal
 eigenspaces, an eigenbasis assembled from kernel vectors) are library
@@ -48,8 +53,11 @@ class Probe:
 
 @dataclass
 class ProbeEvidence:
-    """The test at one probe. When converged is False, s is ||(zI - A)x|| for
-    a unit x, an upper bound on sigma_n(zI - A), and gap a lower bound."""
+    """The test at one probe. source names where s came from: "jacobi" is the
+    probe Jacobi, and when converged is False there, s is ||(zI - A)x|| for
+    a unit x, an upper bound on sigma_n(zI - A), and gap a lower bound.
+    "schur_bound" is `_schur_bound_evidence`'s lower bound on
+    sigma_n(zI - A), so gap is an upper bound."""
 
     z: complex
     lam: complex
@@ -58,6 +66,7 @@ class ProbeEvidence:
     gap: float
     passed: bool
     converged: bool = True
+    source: str = "jacobi"
 
 
 @dataclass
@@ -140,18 +149,20 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
 
 
 def probe_evidence(
-    z: complex, lam: complex, s: float, tol_eq: float, converged: bool = True
+    z: complex, lam: complex, s: float, tol_eq: float, converged: bool = True,
+    source: str = "jacobi",
 ) -> ProbeEvidence:
     """Evidence at probe z of eigenvalue lambda, given s = sigma_n(zI - A).
 
     d = |z - lambda|, and the probe passes when d - s <= tol_eq. Unconverged,
-    s is an upper bound on sigma_n(zI - A).
+    s is an upper bound on sigma_n(zI - A); from "schur_bound", a lower one.
     """
     d = _cabs(complex(z) - complex(lam))
     g = d - s
     return ProbeEvidence(
         z=complex(z), lam=complex(lam), d=float(d), s=float(s),
         gap=float(g), passed=bool(g <= tol_eq), converged=bool(converged),
+        source=source,
     )
 
 
@@ -168,6 +179,20 @@ def witness_bound(d: float, tol_eq: float) -> float:
     d - tol_eq alone would do.
     """
     return d - tol_eq - 4.0 * EPS * d
+
+
+def pass_bound(d: float, tol_eq: float) -> float:
+    """A bound b >= 0 such that any s >= b passes the test at a probe at distance d.
+
+    b = max(0, (d - tol_eq) + 4*EPS*d), witness_bound's mirror. When
+    tol_eq <= d, the two roundings err by at most u*d each (u = EPS/2), so
+    s >= b gives d - s < tol_eq - 5u*d exactly; with s >= 0, |d - s| <= d
+    whenever d - s > 0, so the rounded d - s errs by at most u*d and stays
+    below tol_eq. When tol_eq > d, s >= 0 gives d - s <= d < tol_eq, and
+    the rounded d - s is at most d too. So a lower bound on s(z) of at least
+    b passes the probe in exact arithmetic and in probe_evidence's own.
+    """
+    return max(0.0, d - tol_eq + 4.0 * EPS * d)
 
 
 def criterion_holds(a, probe: tuple[complex, complex], tol_eq: float) -> ProbeEvidence:
@@ -362,6 +387,83 @@ def _witness(
     return e, alone.x
 
 
+def _schur_gates(an: spectral.Analysis) -> tuple[float, float | None, np.ndarray | None]:
+    """(||Q*Q - I||_F, ||offdiag M||_F, M = Q*AQ), the Normal gates' values.
+
+    M and its residual are None when Q misses its unitarity bound: then the
+    Analysis holds no AQ, and the unitarity gate refuses the eigenbasis.
+    """
+    unitarity = an.unitarity
+    if unitarity > TOL_CERT * len(an.a):
+        return unitarity, None, None
+    # Q passed the bound that makes (Q, AQ) the Analysis's basis
+    u, au = an.basis
+    m = u.conj().T @ au
+    return unitarity, offdiag_frobenius(m), m
+
+
+def _schur_bound_evidence(
+    an: spectral.Analysis, m: np.ndarray, off: float,
+    probes: list[Probe], lams: list[complex], ds: list[float], tol_eq: float,
+) -> list[ProbeEvidence] | None:
+    """Every probe's evidence from M = Q*AQ, or None unless the bound passes each probe.
+
+    Called once Q meets both Normal gates, f = ||Q*Q - I||_F <= TOL_CERT*n
+    and off = ||offdiag M||_F <= TOL_CERT*scale, with M and f as computed.
+    At probe z, with n the order and scale = Analysis.scale,
+
+        lb = (min_i |z - m_ii| - off - |z|*f - eta) / (1 + f),
+        eta = 4*(n + 2)^2 * EPS * (|z| + scale),
+
+    is at most s(z) = sigma_n(zI - A), and a probe with lb >= pass_bound(d,
+    tol_eq) passes. Proof. Write phi = ||Q*Q - I||_2 <= ||Q*Q - I||_F, exact
+    for the computed Q; the gates give phi << 1, so ||Q||_2^2 =
+    ||Q*Q||_2 <= 1 + phi <= 2 and ||Q||_F^2 <= 2n.
+    (1) Exact arithmetic. Let dM = M - Q*AQ, the rounding of M, D its
+        diagonal and N = M - D. Then Q*(zI - A)Q = (zI - D) - N +
+        z(Q*Q - I) + dM. sigma_n(XYZ) <= ||X||_2 sigma_n(Y) ||Z||_2, and
+        singular values move by at most the 2-norm of a perturbation
+        (Weyl), so (1 + phi) s(z) >= min_i |z - m_ii| - ||N||_F - |z| phi
+        - ||dM||_F; with Q unitary and M exact this is Henrici's
+        s(z) >= min_i |z - t_ii| - ||N||_F.
+    (2) Rounding of M (Higham 2002, Sections 3.5-3.6). A complex product
+        of inner dimension n errs entrywise by at most c|X||Y|, with
+        c = sqrt(2)*gamma_{n+2} <= 0.71*(n + 2)*EPS. AQ is computed as
+        AQ + E1 and M = Q*(AQ + E1) + E2, so ||dM||_F <= ||Q||_2 ||E1||_F
+        + ||E2||_F <= c ||A||_F ||Q||_F (2||Q||_2 + c||Q||_F), at most
+        3*(n + 2)*sqrt(n)*EPS*scale.
+    (3) The computed f. Q*Q errs by at most c||Q||_F^2 <= 2nc in the
+        Frobenius norm, so phi <= f + 1.42*n*(n + 2)*EPS, plus f's own
+        rounding. Using f for phi in the numerator costs |z| times that; in
+        the denominator, the numerator (at most min_i |z - m_ii| <=
+        |z| + 2*scale) times it.
+    (4) The rest of the rounding. `frob` errs by at most n^2*EPS relative
+        on off and f, which the gates hold below 1e-8*scale and 1e-8*n: at
+        most 3e-8*n^3*EPS*(|z| + scale). Each |z - m_ii| errs by at most
+        2*EPS relative, and lb's own six operations by at most
+        3*EPS*(|z| + 2*scale) together.
+    (2)-(4) sum to less than (2.84*n*(n + 2) + 5 + 3e-8*n^3)*EPS*|z| +
+    (3*(n + 2)*sqrt(n) + 2.84*n*(n + 2) + 10 + 3e-8*n^3)*EPS*scale, which
+    is below eta for 1 <= n <= 10^6. scale >= 1 gives eta an absolute floor
+    of 36*EPS, far above what underflow in any product or norm can lose. So
+    lb <= s(z), and pass_bound makes it a passing probe. A NaN lb fails the
+    comparison, and the probe Jacobi decides.
+    """
+    n = len(m)
+    f = an.unitarity
+    zs = np.array([p.z for p in probes])
+    az = np.abs(zs)
+    mu = np.abs(zs[:, None] - np.diagonal(m)).min(axis=1)
+    eta = 4.0 * (n + 2) ** 2 * EPS * (az + an.scale)
+    lbs = ((mu - off - az * f - eta) / (1.0 + f)).tolist()
+    if not all(lb >= pass_bound(d, tol_eq) for lb, d in zip(lbs, ds)):
+        return None
+    return [
+        probe_evidence(p.z, lam, lb, tol_eq, source="schur_bound")
+        for p, lam, lb in zip(probes, lams, lbs)
+    ]
+
+
 def _residual_gate(name: str, value: float, bound: float) -> None:
     if value > bound:
         raise IndeterminateError(
@@ -373,9 +475,21 @@ def _residual_gate(name: str, value: float, bound: float) -> None:
 def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     """Full probe pipeline deciding normality of a matrix or an Analysis.
 
-    Schur -> cluster -> probe placement -> the equality test at every
-    probe, from one spectral.shifted_smallest_column call over all probe
-    shifts (one values-only kernels.svd stack while it fits in
+    Schur -> cluster -> probe placement -> screen -> the equality test at
+    every probe, from the Schur form alone or from the probe Jacobi.
+    The screen is the commutator residual ||A*A - AA*||_F, which every
+    certificate carries: only when it is at most tol_eq*scale are the two
+    Normal gates' values formed before any probe runs (the unitarity
+    residual first, then M = Q*AQ and ||offdiag M||_F, which reads the
+    Analysis's AQ, formed once). When both meet their bounds,
+    `_schur_bound_evidence` takes a rigorous lower bound on s(z) at every
+    probe from M. All or nothing: when the bound passes every probe, the
+    verdict is Normal, each probe's source is "schur_bound", and no Jacobi
+    runs (jacobi_sweeps 0). Otherwise every probe goes to the probe Jacobi
+    below, exactly as for a matrix the screen refused, and the gates read
+    the values already formed.
+    The probe Jacobi is one spectral.shifted_smallest_column call over all
+    probe shifts (one values-only kernels.svd stack while it fits in
     spectral.STACK_ENTRIES, at n*n entries per probe). The call carries
     each probe's witness_bound, so the Jacobi stops after the first sweep
     that leaves a probe still rotating with a column norm below it: that
@@ -394,16 +508,14 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     the witness probe runs again alone with V through
     spectral.shifted_smallest_pair, and its s and x both come from that run.
     Either way ||(zI - A)x|| = s, up to round-off.
-    On a clean pass every probe has converged, and the Schur vectors are
-    attached as the eigenbasis once they meet the residual bounds
-    ||U*U - I||_F <= TOL_CERT*n and ||offdiag(U*AU)||_F <= TOL_CERT*scale.
-    The unitarity residual is the Analysis's own, computed once: it also
+    On a clean pass the Schur vectors are attached as the eigenbasis once
+    they meet the residual bounds ||U*U - I||_F <= TOL_CERT*n and
+    ||offdiag(U*AU)||_F <= TOL_CERT*scale, checked in that order. The
+    unitarity residual is the Analysis's own, computed once: it also
     decides the basis of the probe stack. When it meets its bound, the
     probe columns are those of (zI - A)Q = zQ - AQ, nearly orthogonal for a
     normal or near-normal matrix, so the Jacobi needs few sweeps; otherwise
     they are the columns of zI - A.
-    The unitarity gate is checked first, so the off-diagonal residual reads
-    the same AQ and no certify forms it twice.
     Either way they are formed from A, and Q only rotates: s moves by at
     most ||zI - A||_2 ||Q*Q - I||_2, and recheck_witness checks x against A
     itself. Kernel non-convergence or a residual over its bound raises
@@ -433,20 +545,34 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         probes = select_probes(spectrum, config.probe_angle)
         lams = [spectrum.clusters[p.cluster_index][0] for p in probes]
         # d as probe_evidence computes it
-        bound = [witness_bound(_cabs(p.z - lam), tol_eq) for p, lam in zip(probes, lams)]
-        stack = spectral.shifted_smallest_column(
-            an, np.array([p.z for p in probes]), bound=np.array(bound)
-        )
-        evidence = [
-            probe_evidence(p.z, lam, s_k, tol_eq, ok)
-            for p, lam, s_k, ok in zip(probes, lams, stack.s.tolist(), stack.converged.tolist())
-        ]
-        failing = [k for k, e in enumerate(evidence) if not e.passed]
-        witness = witness_vector = u = None
-        if failing:
-            k = failing[0]
-            witness, witness_vector = _witness(an, evidence[k], stack.w[k], bound[k], tol_eq)
-            evidence[k] = witness
+        ds = [_cabs(p.z - lam) for p, lam in zip(probes, lams)]
+        residuals = Residuals(commutator=commutator_normality_oracle(a))
+        unitarity = diagonalization = m = evidence = None
+        # the commutator has units of scale^2, as tol_eq*scale has
+        if residuals.commutator <= tol_eq * an.scale:
+            unitarity, diagonalization, m = _schur_gates(an)
+        if m is not None and diagonalization <= TOL_CERT * an.scale:
+            evidence = _schur_bound_evidence(
+                an, m, diagonalization, probes, lams, ds, tol_eq
+            )
+        failing = []
+        witness = witness_vector = None
+        sweeps = 0
+        if evidence is None:
+            bound = [witness_bound(d, tol_eq) for d in ds]
+            stack = spectral.shifted_smallest_column(
+                an, np.array([p.z for p in probes]), bound=np.array(bound)
+            )
+            evidence = [
+                probe_evidence(p.z, lam, s_k, tol_eq, ok)
+                for p, lam, s_k, ok in zip(probes, lams, stack.s.tolist(), stack.converged.tolist())
+            ]
+            sweeps = max(stack.sweeps.tolist())
+            failing = [k for k, e in enumerate(evidence) if not e.passed]
+            if failing:
+                k = failing[0]
+                witness, witness_vector = _witness(an, evidence[k], stack.w[k], bound[k], tol_eq)
+                evidence[k] = witness
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
     config_echo = {
@@ -456,14 +582,15 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         "tie_margin": TIE_MARGIN,
         "tol_cert": TOL_CERT,
     }
-    residuals = Residuals(commutator=commutator_normality_oracle(a))
+    u = None
     if not failing:
-        residuals.unitarity = an.unitarity
-        _residual_gate("unitarity", residuals.unitarity, TOL_CERT * n)
-        # Q passed the bound that makes (Q, AQ) the Analysis's basis
-        u, au = an.basis
-        residuals.diagonalization = offdiag_frobenius(u.conj().T @ au)
-        _residual_gate("off-diagonal", residuals.diagonalization, TOL_CERT * an.scale)
+        if unitarity is None:
+            unitarity, diagonalization, _ = _schur_gates(an)
+        residuals.unitarity = unitarity
+        _residual_gate("unitarity", unitarity, TOL_CERT * n)
+        residuals.diagonalization = diagonalization
+        _residual_gate("off-diagonal", diagonalization, TOL_CERT * an.scale)
+        u = an.schur.q
     return NormalityCertificate(
         verdict="Nonnormal" if failing else "Normal",
         evidence=evidence,
@@ -472,7 +599,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         residuals=residuals,
         config_echo=config_echo,
         witness_vector=witness_vector,
-        jacobi_sweeps=max(stack.sweeps.tolist()),
+        jacobi_sweeps=sweeps,
     )
 
 
@@ -497,6 +624,7 @@ def certificate_to_dict(cert: NormalityCertificate, a) -> dict:
             "gap": e.gap,
             "passed": e.passed,
             "converged": e.converged,
+            "source": e.source,
         }
 
     doc = {
@@ -512,10 +640,11 @@ def certificate_to_dict(cert: NormalityCertificate, a) -> dict:
         "jacobi_sweeps": cert.jacobi_sweeps,
         "matrix_hash": matrix_hash(a),
     }
+    # rows as Python complex, which read faster than numpy scalars
     if cert.eigenbasis is not None:
         doc["eigenbasis"] = [
-            [[z.real, z.imag] for z in row] for row in cert.eigenbasis
+            [[z.real, z.imag] for z in row] for row in cert.eigenbasis.tolist()
         ]
     if cert.verdict == "Nonnormal" and cert.witness_vector is not None:
-        doc["witness_vector"] = [[z.real, z.imag] for z in cert.witness_vector]
+        doc["witness_vector"] = [[z.real, z.imag] for z in cert.witness_vector.tolist()]
     return doc

@@ -1,5 +1,7 @@
 """Certifier tests: probe selection, structural checks, end-to-end verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,19 @@ def count_kernel_calls(monkeypatch):
 
         monkeypatch.setattr(kernels, name, counted)
     return calls
+
+
+def stack_spy(monkeypatch):
+    """Record each spectral.shifted_smallest_column result certify receives."""
+    results = []
+    original = spectral.shifted_smallest_column
+
+    def spied(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(spectral, "shifted_smallest_column", spied)
+    return results
 
 
 def assert_witness_rechecks(a, cert):
@@ -326,13 +341,14 @@ class TestCertify:
         assert unit <= 1e-8 * 6
         assert diag <= 1e-8 * frob(a)
 
-    def test_normal_runs_one_schur_and_one_stacked_svd(self, monkeypatch):
-        # the 8 probes are the 8 items of one kernels.svd stack
+    def test_normal_runs_one_schur_and_no_svd(self, monkeypatch):
+        # the Schur form's own residuals pass all 8 probes, so no probe
+        # Jacobi runs
         a = generate_matrix("normal", 8, 0)
         assert len(spectrum_of(a).clusters) == 8
         calls = count_kernel_calls(monkeypatch)
         assert certify(a).verdict == "Normal"
-        assert calls == {"svd": 1, "schur": 1}
+        assert calls == {"svd": 0, "schur": 1}
 
     @pytest.mark.parametrize("kind, n, param", [
         ("ginibre", 8, None), ("jordan", 8, None), ("near_normal", 8, 1e-6),
@@ -385,9 +401,13 @@ class TestCertify:
     @pytest.mark.parametrize("kind, n", [("normal", 16), ("hermitian", 32)])
     def test_normal_probes_need_two_sweeps(self, kind, n, monkeypatch):
         # the probe columns zQ - AQ of a normal matrix start out nearly
-        # orthogonal; the plain columns of zI - A needed 8 and 9 sweeps here
+        # orthogonal; the plain columns of zI - A needed 8 and 9 sweeps here.
+        # certify settles these probes from the Schur form, so the probe
+        # stack runs here directly
+        an = spectral.analyze(generate_matrix(kind, n, 1))
+        zs = np.array([p.z for p in select_probes(spectrum_of(an))])
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 2)
-        assert certify(generate_matrix(kind, n, 1)).verdict == "Normal"
+        assert spectral.shifted_smallest_column(an, zs).converged.all()
 
     def test_normal_eigenbasis_is_the_schur_factor(self):
         a = generate_matrix("normal", 7, 3)
@@ -412,8 +432,9 @@ class TestCertify:
 
     def test_non_unitary_schur_factor_fails_the_unitarity_gate(self, monkeypatch):
         # a Schur factor off by 1e-6 in scale misses the unitarity bound, so
-        # the probes run on zI - A, pass, and the unitarity gate refuses it
-        # before the off-diagonal residual needs AQ
+        # the Schur bound declines, every probe runs on zI - A and passes,
+        # and the unitarity gate refuses it before the off-diagonal residual
+        # needs AQ
         original = kernels.schur
 
         def stretched(a):
@@ -422,10 +443,13 @@ class TestCertify:
             return res
 
         monkeypatch.setattr(kernels, "schur", stretched)
+        results = stack_spy(monkeypatch)
         with pytest.raises(IndeterminateError) as exc:
             certify(generate_matrix("normal", 4, 1))
         assert "unitarity residual" in str(exc.value)
         assert f"bound {certifier.TOL_CERT * 4:.3e}" in str(exc.value)
+        [stack] = results
+        assert len(stack.s) == 4 and stack.sweeps.max() > 0
 
     def test_structural_consequences_on_pass_path(self):
         a = generate_matrix("normal", 5, 37)
@@ -568,6 +592,9 @@ class TestSerialization:
         assert doc["tolerances"]["tol_eq"] == cert.config_echo["tol_eq"]
         assert doc["jacobi_sweeps"] == cert.jacobi_sweeps
         assert [p["converged"] for p in doc["probes"]] == [True] * len(cert.evidence)
+        listed = json.loads(json.dumps(doc))["eigenbasis"]
+        listed = np.array([[complex(*z) for z in row] for row in listed])
+        assert listed.tobytes() == cert.eigenbasis.tobytes()
 
     def test_nonnormal_document_marks_unconverged_probes(self):
         a = generate_matrix("jordan", 6, 1)
@@ -607,12 +634,13 @@ class TestEarlyWitness:
         assert nonnormal > 100
 
     def test_probe_values_are_those_of_the_stack_with_vectors(self, corpus300):
-        # the values-only probe stack gives every probe's s and converged,
-        # and the sweeps, bit for bit as shifted_smallest_pair with V under
-        # the same bounds: the witness comes from the stack, no fallback ran
+        # where the probe Jacobi ran, the values-only probe stack gives every
+        # probe's s and converged, and the sweeps, bit for bit as
+        # shifted_smallest_pair with V under the same bounds: the witness
+        # comes from the stack, no fallback ran
         nonnormal = 0
         for a, kind, n, _, cert in corpus300:
-            if cert is None:
+            if cert is None or cert.evidence[0].source != "jacobi":
                 continue
             nonnormal += cert.verdict == "Nonnormal"
             tol_eq = cert.config_echo["tol_eq"]
@@ -642,3 +670,82 @@ class TestEarlyWitness:
                     continue
                 s = np.nextafter(b, 0.0)
                 assert not certifier.probe_evidence(d_k, 0.0, s, tol_eq).passed
+
+
+class TestSchurBound:
+    def test_bound_is_sound(self, corpus300):
+        # every probe the Schur bound settles has s at most the Jacobi's
+        # s(z) and passes in probe_evidence's own arithmetic; the bound
+        # settles every Normal certificate here and no other
+        from test_benchmark_checks import SEED, workloads
+
+        certs = [(a, cert) for a, _, _, _, cert in corpus300]
+        for workload in ("certify_normal", "certify_nonnormal"):
+            for spec in workloads.matrices(workload, SEED):
+                a = generate_matrix(spec.kind, spec.n, spec.seed, spec.param)
+                try:
+                    certs.append((a, certify(a)))
+                except IndeterminateError:
+                    certs.append((a, None))
+        settled = 0
+        margin = np.inf
+        for a, cert in certs:
+            if cert is None:
+                continue
+            sources = {e.source for e in cert.evidence}
+            if cert.verdict != "Normal":
+                assert sources == {"jacobi"}
+                continue
+            assert sources == {"schur_bound"} and cert.jacobi_sweeps == 0
+            settled += 1
+            an = spectral.analyze(a)
+            tol_eq = cert.config_echo["tol_eq"]
+            for e in cert.evidence:
+                assert e.s <= spectral.shifted_smallest_pair(an, e.z).s
+                assert e.converged and e.passed
+                assert certifier.probe_evidence(e.z, e.lam, e.s, tol_eq).passed
+                margin = min(margin, (tol_eq - (e.d - e.s)) / an.scale)
+        assert settled > 150
+        print(f"\nSchur bound: {settled} Normal certificates, smallest scaled margin {margin:.6e}")
+
+    @pytest.mark.parametrize("a", [
+        # two eigenvalues within cluster_tol: d reads their mean, the bound
+        # the nearer raw one
+        np.diag([0.0, 5e-8, 1.0]),
+        # probes pass, the off-diagonal gate refuses
+        generate_matrix("near_normal", 8, 0, 1e-6),
+    ], ids=["close_pair", "near_normal"])
+    def test_bound_declines_where_it_cannot_prove(self, a, monkeypatch):
+        results = stack_spy(monkeypatch)
+        try:
+            cert = certify(a)
+        except IndeterminateError:
+            cert = None
+        [stack] = results
+        assert len(stack.s) == len(spectrum_of(a).clusters) and stack.sweeps.max() > 0
+        if cert is not None:
+            assert {e.source for e in cert.evidence} == {"jacobi"}
+            assert cert.jacobi_sweeps > 0
+
+    def test_normal_probes_come_from_the_bound(self):
+        a = generate_matrix("normal", 8, 0)
+        cert = certify(a)
+        assert cert.verdict == "Normal" and cert.jacobi_sweeps == 0
+        assert [e.source for e in cert.evidence] == ["schur_bound"] * 8
+        doc = certificate_to_dict(cert, a)
+        assert [p["source"] for p in doc["probes"]] == ["schur_bound"] * 8
+        assert doc["jacobi_sweeps"] == 0
+
+    def test_pass_bound_implies_a_passing_probe(self):
+        # an s at a probe's pass bound passes in exact arithmetic and in
+        # probe_evidence's own, also where tol_eq is close to d or above it
+        from fractions import Fraction
+
+        rng = np.random.default_rng(7)
+        d = np.concatenate([rng.uniform(1e-8, 2.0, 2000), [1.0 + 2.0 ** -52, 2e-8, 1.0]])
+        for tol_eq in (1e-8, 1.0, 0.0, 1e-8 * (1.0 + 1e-15), 3.0):
+            for d_k in d.tolist():
+                s = certifier.pass_bound(d_k, tol_eq)
+                assert s >= 0.0
+                assert Fraction(d_k) - Fraction(s) <= Fraction(tol_eq)
+                assert certifier.probe_evidence(d_k, 0.0, s, tol_eq).passed
