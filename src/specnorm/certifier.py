@@ -371,7 +371,7 @@ def _witness(
 
     x comes from `_back_substituted_witness` and e stands as it is. Where
     that gives None, the probe runs alone through
-    spectral.shifted_smallest_pair with V and its bound, and s, converged
+    spectral.shifted_smallest with V and its bound, and s, converged
     and x all come from that one run, so ||(zI - A)x|| is again its s. That
     run continues past the sweep at which the stack stopped whenever another
     probe stopped it; should it then pass, certify raises IndeterminateError
@@ -380,26 +380,25 @@ def _witness(
     x = _back_substituted_witness(an, e.z, w, bound)
     if x is not None:
         return e, x
-    alone = spectral.shifted_smallest_pair(an, e.z, bound=bound)
-    e = probe_evidence(e.z, e.lam, alone.s, tol_eq, alone.converged)
+    alone = spectral.shifted_smallest(an, np.array([e.z]), np.array([bound]), vectors=True)
+    e = probe_evidence(e.z, e.lam, alone.s[0], tol_eq, alone.converged[0])
     if e.passed:
         raise IndeterminateError(f"probe {e.z} fails in the probe stack but passes alone")
-    return e, alone.x
+    return e, alone.x[0]
 
 
 def _schur_gates(an: spectral.Analysis) -> tuple[float, float | None, np.ndarray | None]:
     """(||Q*Q - I||_F, ||offdiag M||_F, M = Q*AQ), the Normal gates' values.
 
-    M and its residual are None when Q misses its unitarity bound: then the
-    Analysis holds no AQ, and the unitarity gate refuses the eigenbasis.
+    M and its residual are None when the Analysis's basis is the identity,
+    which spectral makes it exactly when Q misses its unitarity bound: then
+    there is no AQ, and the unitarity gate refuses the eigenbasis.
     """
-    unitarity = an.unitarity
-    if unitarity > TOL_CERT * len(an.a):
-        return unitarity, None, None
-    # Q passed the bound that makes (Q, AQ) the Analysis's basis
     u, au = an.basis
+    if u is None:
+        return an.unitarity, None, None
     m = u.conj().T @ au
-    return unitarity, offdiag_frobenius(m), m
+    return an.unitarity, offdiag_frobenius(m), m
 
 
 def _schur_bound_evidence(
@@ -488,8 +487,8 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     runs (jacobi_sweeps 0). Otherwise every probe goes to the probe Jacobi
     below, exactly as for a matrix the screen refused, and the gates read
     the values already formed.
-    The probe Jacobi is one spectral.shifted_smallest_column call over all
-    probe shifts (one values-only kernels.svd stack while it fits in
+    The probe Jacobi is one values-only spectral.shifted_smallest call over
+    all probe shifts (one kernels.svd stack while it fits in
     spectral.STACK_ENTRIES, at n*n entries per probe). The call carries
     each probe's witness_bound, so the Jacobi stops after the first sweep
     that leaves a probe still rotating with a column norm below it: that
@@ -506,7 +505,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     ||(zI - A)x|| is below the witness bound. Where it is not (the columns
     were those of zI - A, a pivot of zI - T is zero, or x misses the bound),
     the witness probe runs again alone with V through
-    spectral.shifted_smallest_pair, and its s and x both come from that run.
+    spectral.shifted_smallest, and its s and x both come from that run.
     Either way ||(zI - A)x|| = s, up to round-off.
     On a clean pass the Schur vectors are attached as the eigenbasis once
     they meet the residual bounds ||U*U - I||_F <= TOL_CERT*n and
@@ -560,7 +559,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         sweeps = 0
         if evidence is None:
             bound = [witness_bound(d, tol_eq) for d in ds]
-            stack = spectral.shifted_smallest_column(
+            stack = spectral.shifted_smallest(
                 an, np.array([p.z for p in probes]), bound=np.array(bound)
             )
             evidence = [

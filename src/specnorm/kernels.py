@@ -39,11 +39,11 @@ as without one, bit for bit.
 every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
 (no U: nothing reads it), and reports a status per item instead of raising;
 with or without V it returns each item's rotated column of least norm, the
-image A_i v of the v that sigma_min's column of V would hold. `svd` is its
-raising wrapper, with V or values only. The certifier evaluates all its
-probes as one values-only `svd` stack (through
-`spectral.shifted_smallest_column`) and recovers its witness vector from
-that least column; `scan.scan_grid` and `scan.check_corollary` evaluate all
+image A_i v of the v that sigma_min's column of V would hold up to a unit
+phase. `svd` is its raising wrapper, with V or values only. The certifier
+evaluates all its probes as one values-only `svd` stack (through
+`spectral.shifted_smallest`) and recovers its witness vector from that
+least column; `scan.scan_grid` and `scan.check_corollary` evaluate all
 their shifts of one matrix as values-only stacks too (through
 `spectral.shifted_sigma_min_batch`). Every stack is built in `spectral`
 as zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose

@@ -6,12 +6,12 @@ holds for every square matrix, with equality everywhere exactly when the
 matrix is normal.
 
 Every stack of shifted matrices that goes to the Jacobi kernel's one entry
-point, kernels.jacobi_svd (directly, or through kernels.svd with V or values
-only), is built here, by `_shifted_stacks`, as the columns
-zB - AB = (zI - A)B for a basis B with AB formed once per matrix; a
-minimizing right singular vector v of the stack item maps back to x = Bv for
-zI - A, and a values-only stack returns instead the column (zB - AB)v of
-least norm. B is the Schur factor Q when the
+point, kernels.jacobi_svd (directly, from shifted_sigma_min_batch, or
+through kernels.svd with V or values only, from shifted_smallest), is built
+here, by `_shifted_stacks`, as the columns zB - AB = (zI - A)B for a basis B
+with AB formed once per matrix; the kernel returns each item's column
+(zB - AB)v of least norm, and with V a minimizing right singular vector v
+maps back to x = Bv for zI - A. B is the Schur factor Q when the
 caller passes an Analysis whose Q meets ||Q*Q - I||_F <= TOL_CERT*n (the
 bound of certify's Normal gate, which reads the same residual). Since
 (zI - A)Q = Q(zI - T) and T is nearly diagonal for a normal or near-normal
@@ -241,104 +241,74 @@ def _shifted_stacks(b, ab: np.ndarray, zs: np.ndarray, entries_per_item: int):
         yield sl, zs[sl, None, None] * rot - ab
 
 
-class SmallestPair(NamedTuple):
-    """What shifted_smallest_pair returns, each shaped like its z (x with a trailing n)."""
+class Smallest(NamedTuple):
+    """What shifted_smallest returns: one entry per z (w and x with a trailing n)."""
 
-    s: np.ndarray | float
-    x: np.ndarray
-    converged: np.ndarray | bool
-    sweeps: np.ndarray | int
-
-
-class SmallestColumn(NamedTuple):
-    """What shifted_smallest_column returns, each shaped like its z (w with a trailing n)."""
-
-    s: np.ndarray | float
+    s: np.ndarray
     w: np.ndarray
-    converged: np.ndarray | bool
-    sweeps: np.ndarray | int
+    x: np.ndarray | None
+    converged: np.ndarray
+    sweeps: np.ndarray
 
 
-def _smallest(a, z, bound, vectors: bool) -> tuple:
-    """s, x (with vectors) or w (without), converged and sweeps per z, each shaped like z.
+def shifted_smallest(a, zs, bound=None, vectors: bool = False) -> Smallest:
+    """s(z) = sigma_n(zI - A) at every z of a 1-D array, with its Jacobi's output.
 
-    The stacks of zB - AB go to kernels.svd, which runs on their [zB - AB; I]
-    columns with vectors, so that an item counts 2*n*n toward STACK_ENTRIES,
-    and on the columns of zB - AB alone without, n*n. The A part of every
-    item takes the same arithmetic either way, so s, w, converged and sweeps
+    a is a matrix or an Analysis; zs of another dimension raises
+    DimensionError. The stacks of zB - AB go to kernels.svd: with vectors
+    on their [zB - AB; I] columns, an item counting 2*n*n toward
+    STACK_ENTRIES, without on the columns of zB - AB alone, n*n. The A part
+    takes the same arithmetic either way, so s, w, converged and sweeps
     agree bit for bit wherever the stacks split alike.
+    w is the column of least norm, (zB - AB)v = (zI - A)Bv for a smallest
+    right singular vector v of the item; a caller holding B's factorization
+    can recover a minimizing direction from it. With vectors, x = Bv' for
+    V's column v' (v up to a unit phase), a unit vector with
+    ||(zI - A)x|| = s, each entry one np.vecdot of a row of B with v', so
+    that no value depends on how the shifts are chunked (a batched v' @ B.T
+    can round differently by batch size); without, x is None.
+    converged and sweeps are kernels.svd's per z. bound, shaped like zs
+    (else DimensionError), goes to kernels.svd per stack: once a z of a
+    stack still rotating has a column norm below its bound, the stack
+    stops, each z it cut short is not converged, and its s, the norm of w,
+    is an upper bound on s(z), not s(z) itself. Without a bound every z
+    converges. The first failing z, in order, raises what kernels.svd
+    raises for it.
     """
     b, ab = _basis(a)
     n = ab.shape[0]
-    z = np.asarray(z, dtype=np.complex128)
-    zs = z.reshape(-1)
+    zs = np.asarray(zs, dtype=np.complex128)
+    if zs.ndim != 1:
+        raise DimensionError(f"expected a 1-D array of shifts, got shape {zs.shape}")
     if bound is not None:
         bound = np.asarray(bound, dtype=np.float64)
-        if bound.shape != z.shape:
-            raise DimensionError(f"expected a bound of shape {z.shape}, got {bound.shape}")
-        bound = bound.reshape(-1)
+        if bound.shape != zs.shape:
+            raise DimensionError(f"expected a bound of shape {zs.shape}, got {bound.shape}")
     s = np.empty(zs.size)
-    vec = np.empty((zs.size, n), dtype=np.complex128)
+    w = np.empty((zs.size, n), dtype=np.complex128)
+    x = np.empty((zs.size, n), dtype=np.complex128) if vectors else None
     converged = np.empty(zs.size, dtype=bool)
     sweeps = np.empty(zs.size, dtype=np.int64)
     for sl, stack in _shifted_stacks(b, ab, zs, 2 if vectors else 1):
         # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
         res = kernels.svd(stack, None if bound is None else bound[sl], vectors)
         s[sl] = res.sigma[:, -1]
-        if not vectors:
-            vec[sl] = res.least
-        elif b is None:
-            vec[sl] = res.v[:, :, -1]
-        else:
-            vec[sl] = np.vecdot(b.conj(), res.v[:, None, :, -1])
+        w[sl] = res.least
+        if vectors:
+            v = res.v[:, :, -1]
+            x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
         converged[sl] = res.converged
         sweeps[sl] = res.sweeps
-    return tuple(
-        out.reshape(z.shape + out.shape[1:])[()] for out in (s, vec, converged, sweeps)
-    )
-
-
-def shifted_smallest_pair(a, z, bound=None) -> SmallestPair:
-    """s(z) = sigma_n(zI - A) and a unit right singular vector x(z) for it.
-
-    z is a scalar, giving s as a float and x of shape (n,), or a 1-D array
-    of p shifts, giving s of shape (p,) and x of shape (p, n); a is a matrix
-    or an Analysis. ||(zI - A)x|| = s(z), so x is a minimizing direction.
-    The smallest right singular vector v of each stack item (see `_smallest`)
-    maps back as x = Bv, each entry one np.vecdot of a row of B with v, so
-    neither s nor x depends on how the shifts are chunked (a batched v @ B.T
-    can round differently by batch size). converged and sweeps are
-    kernels.svd's per z.
-    bound, shaped like z (else DimensionError), is passed on to kernels.svd
-    per stack: once a z of a stack still rotating has a column norm below
-    its bound, the stack stops, and each z it cut short is not converged.
-    Its s is then ||(zI - A)x|| for the unit x returned, an upper bound on
-    s(z), not s(z) itself. Without a bound every z converges.
-    The first failing z, in order, raises what kernels.svd raises for it.
-    """
-    return SmallestPair(*_smallest(a, z, bound, True))
-
-
-def shifted_smallest_column(a, z, bound=None) -> SmallestColumn:
-    """shifted_smallest_pair's s, converged and sweeps without V, and w for x.
-
-    The stacks run for values only, so an item counts n*n toward
-    STACK_ENTRIES. w is the rotated column of zB - AB whose norm is s: w =
-    (zB - AB)v = (zI - A)Bv for the v that shifted_smallest_pair would map
-    to x, which a caller holding B's factorization can recover from w. Where
-    the stacks split as shifted_smallest_pair's do, s, converged and sweeps
-    are its bits, also under a bound, and so are the raises.
-    """
-    return SmallestColumn(*_smallest(a, z, bound, False))
+    return Smallest(s, w, x, converged, sweeps)
 
 
 def shifted_smallest_singular(a, z):
     """s(z) = sigma_n(zI - A) at a scalar z (a float) or a 1-D array of z (an array).
 
-    a is a matrix or an Analysis; the values are those of shifted_smallest_pair,
-    from values-only stacks.
+    a is a matrix or an Analysis; the values are shifted_smallest's.
     """
-    return shifted_smallest_column(a, z).s
+    z = np.asarray(z, dtype=np.complex128)
+    return shifted_smallest(a, z.reshape(-1)).s.reshape(z.shape)[()]
 
 
 def shifted_sigma_min_batch(a, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +318,10 @@ def shifted_sigma_min_batch(a, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kernels.jacobi_svd for values only, and a z converged when its status is
     kernels.OK. A z whose shifted matrix has a NaN or Inf entry, is refused
     as out of range or has a non-finite singular value comes back
-    unconverged with s(z) NaN.
+    unconverged with s(z) NaN. Folding it into shifted_smallest, with a
+    status per z in place of a raise, is the second step of ROADMAP item 17:
+    it waits for perfbench's ceiling to accept a workload that makes no
+    kernels.svd call (item 1).
     """
     s = np.empty(zs.size)
     converged = np.empty(zs.size, dtype=bool)

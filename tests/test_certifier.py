@@ -46,15 +46,15 @@ def count_kernel_calls(monkeypatch):
 
 
 def stack_spy(monkeypatch):
-    """Record each spectral.shifted_smallest_column result certify receives."""
+    """Record each spectral.shifted_smallest result certify receives."""
     results = []
-    original = spectral.shifted_smallest_column
+    original = spectral.shifted_smallest
 
     def spied(*args, **kwargs):
         results.append(original(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(spectral, "shifted_smallest_column", spied)
+    monkeypatch.setattr(spectral, "shifted_smallest", spied)
     return results
 
 
@@ -407,7 +407,7 @@ class TestCertify:
         an = spectral.analyze(generate_matrix(kind, n, 1))
         zs = np.array([p.z for p in select_probes(spectrum_of(an))])
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 2)
-        assert spectral.shifted_smallest_column(an, zs).converged.all()
+        assert spectral.shifted_smallest(an, zs).converged.all()
 
     def test_normal_eigenbasis_is_the_schur_factor(self):
         a = generate_matrix("normal", 7, 3)
@@ -568,13 +568,14 @@ class TestWitnessVector:
     def test_witness_that_passes_alone_is_indeterminate(self, monkeypatch):
         # the fallback's run decides the witness's s; should the probe pass
         # there, certify names no witness rather than a passing one
-        original = spectral.shifted_smallest_pair
+        original = spectral.shifted_smallest
 
-        def passing(a, z, bound=None):
-            return original(a, z, bound=bound)._replace(s=np.inf)
+        def passing(a, zs, bound=None, vectors=False):
+            res = original(a, zs, bound, vectors)
+            return res._replace(s=np.full_like(res.s, np.inf)) if vectors else res
 
         monkeypatch.setattr(certifier, "_back_substituted_witness", lambda *args: None)
-        monkeypatch.setattr(spectral, "shifted_smallest_pair", passing)
+        monkeypatch.setattr(spectral, "shifted_smallest", passing)
         with pytest.raises(IndeterminateError, match="passes alone"):
             certify(generate_matrix("ginibre", 6, 2))
 
@@ -619,6 +620,35 @@ def corpus300():
     return certified_corpus()
 
 
+def verdict(a) -> str:
+    try:
+        return certify(a).verdict
+    except IndeterminateError:
+        return "Indeterminate"
+
+
+class TestInvariance:
+    def test_transpose_adjoint_and_unitary_similarity_move_no_verdict(self, corpus300):
+        # normality is invariant under A^T, A* and UAU*, and so is every
+        # verdict here: corpus300 and near_normal n=6 across the band from
+        # Normal to Nonnormal. -A is not among these maps: it rotates the
+        # probes' fixed angle by pi and moves 3 of the band at eps 1e-4
+        inputs = [(a, "Indeterminate" if cert is None else cert.verdict)
+                  for a, _, _, _, cert in corpus300]
+        for eps in (1e-8, 1e-6, 1e-4):
+            for seed in range(20):
+                a = generate_matrix("near_normal", 6, seed, eps)
+                inputs.append((a, verdict(a)))
+        moved = []
+        for i, (a, expected) in enumerate(inputs):
+            u = generate_matrix("unitary", len(a), 9000 + i)
+            for name, b in (("A^T", a.T), ("A*", a.conj().T), ("UAU*", u @ a @ u.conj().T)):
+                got = verdict(b)
+                if got != expected:
+                    moved.append((i, name, expected, got))
+        assert moved == []
+
+
 class TestEarlyWitness:
     def test_corpus_witnesses_recheck(self, corpus300):
         # each Nonnormal certificate's x, from a probe stack stopped early or
@@ -636,7 +666,7 @@ class TestEarlyWitness:
     def test_probe_values_are_those_of_the_stack_with_vectors(self, corpus300):
         # where the probe Jacobi ran, the values-only probe stack gives every
         # probe's s and converged, and the sweeps, bit for bit as
-        # shifted_smallest_pair with V under the same bounds: the witness
+        # shifted_smallest with V under the same bounds: the witness
         # comes from the stack, no fallback ran
         nonnormal = 0
         for a, kind, n, _, cert in corpus300:
@@ -646,10 +676,10 @@ class TestEarlyWitness:
             tol_eq = cert.config_echo["tol_eq"]
             zs = np.array([e.z for e in cert.evidence])
             bound = np.array([certifier.witness_bound(e.d, tol_eq) for e in cert.evidence])
-            pair = spectral.shifted_smallest_pair(spectral.analyze(a), zs, bound=bound)
-            assert [e.s for e in cert.evidence] == pair.s.tolist(), (kind, n)
-            assert [e.converged for e in cert.evidence] == pair.converged.tolist(), (kind, n)
-            assert cert.jacobi_sweeps == pair.sweeps.max(), (kind, n)
+            with_v = spectral.shifted_smallest(spectral.analyze(a), zs, bound, vectors=True)
+            assert [e.s for e in cert.evidence] == with_v.s.tolist(), (kind, n)
+            assert [e.converged for e in cert.evidence] == with_v.converged.tolist(), (kind, n)
+            assert cert.jacobi_sweeps == with_v.sweeps.max(), (kind, n)
         assert nonnormal > 100
 
     def test_an_unconverged_probe_means_a_witness(self, corpus300):
@@ -701,7 +731,7 @@ class TestSchurBound:
             an = spectral.analyze(a)
             tol_eq = cert.config_echo["tol_eq"]
             for e in cert.evidence:
-                assert e.s <= spectral.shifted_smallest_pair(an, e.z).s
+                assert e.s <= spectral.shifted_smallest(an, np.array([e.z])).s[0]
                 assert e.converged and e.passed
                 assert certifier.probe_evidence(e.z, e.lam, e.s, tol_eq).passed
                 margin = min(margin, (tol_eq - (e.d - e.s)) / an.scale)

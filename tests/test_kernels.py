@@ -141,6 +141,74 @@ class TestNoNumpyLinalg:
         assert linalg_uses(source) == [2, 3, 4, 5]
 
 
+def kernel_callers(source: str, module: str, names: tuple[str, ...]) -> dict[str, set[str]]:
+    """Per name, the functions of module that call kernels.<name>.
+
+    A call is kernels.<name>(...), or <name>(...) inside kernels itself; a
+    caller is named module.function (module.Class.method for a method),
+    and a call outside every function by the module alone.
+    """
+    callers = {name: set() for name in names}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                        and f.value.id == "kernels" and f.attr in names:
+                    callers[f.attr].add(owner)
+                elif module == "kernels" and isinstance(f, ast.Name) and f.id in names:
+                    callers[f.id].add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return callers
+
+
+class TestSvdCallSites:
+    """The package's SVD call sites, one shifted-stack entry point among them."""
+
+    def test_svd_and_jacobi_svd_callers(self):
+        package = Path(kernels.__file__).parent
+        found = {"svd": set(), "jacobi_svd": set()}
+        for path in sorted(package.glob("*.py")):
+            calls = kernel_callers(path.read_text(encoding="utf-8"), path.stem, tuple(found))
+            for name, owners in calls.items():
+                found[name] |= owners
+        assert found == {
+            "svd": {
+                "spectral.shifted_smallest",
+                "spectral.weyl_bounds_check",
+                "certifier.semisimple_check",
+                "certifier.eigenspace_basis",
+                "kernels.rank_with_tol",
+            },
+            "jacobi_svd": {"kernels.svd", "spectral.shifted_sigma_min_batch"},
+        }
+
+    def test_guard_sees_calls_in_nested_scopes_only_as_calls(self):
+        source = (
+            '"""kernels.svd(a) is only named here."""\n'
+            "kernels.svd(a)\n"
+            "def f(a):\n"
+            "    g = kernels.svd\n"
+            "    return [kernels.jacobi_svd(m, False) for m in a]\n"
+            "class C:\n"
+            "    def m(self, a):\n"
+            "        return svd(kernels.svd(a))\n"
+        )
+        assert kernel_callers(source, "spectral", ("svd", "jacobi_svd")) == {
+            "svd": {"spectral", "spectral.C.m"},
+            "jacobi_svd": {"spectral.f"},
+        }
+        assert kernel_callers(source, "kernels", ("svd",)) == {
+            "svd": {"kernels", "kernels.C.m"},
+        }
+
+
 class TestAsSquare:
     def test_returns_a_fresh_c_contiguous_copy(self):
         a = np.arange(9, dtype=np.complex128).reshape(3, 3)

@@ -132,54 +132,74 @@ class TestShiftedSmallestSingular:
             sz = shifted_smallest_singular(a, z)
             assert abs(d - sz) <= 1e-9 * max(1.0, frob(a))
 
+    @staticmethod
+    def assert_chunks_agree(a, zs, monkeypatch):
+        """Check s, w and x bit for bit alone, whole and in chunks; return whole.
+
+        The chunks hold 3 shifts; s and w also agree without vectors, and s
+        is shifted_smallest_singular's.
+        """
+        alone = [spectral.shifted_smallest(a, np.array([z]), vectors=True) for z in zs]
+        whole = spectral.shifted_smallest(a, zs, vectors=True)
+        values = spectral.shifted_smallest(a, zs)
+        assert values.x is None
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
+        chunked = spectral.shifted_smallest(a, zs, vectors=True)
+        for res in (whole, chunked):
+            assert res.s.shape == (7,) and res.w.shape == res.x.shape == (7, 5)
+            for field in ("s", "w", "x"):
+                each = np.concatenate([getattr(one, field) for one in alone])
+                assert np.array_equal(getattr(res, field), each), field
+            assert np.array_equal(res.s, values.s) and np.array_equal(res.w, values.w)
+            assert np.array_equal(res.s, shifted_smallest_singular(a, zs))
+        plain = a.a if isinstance(a, spectral.Analysis) else a
+        for z, s_k, w_k, x_k in zip(zs, whole.s, whole.w, whole.x):
+            residual = (z * np.eye(5) - plain) @ x_k
+            assert np.linalg.norm(residual) == pytest.approx(s_k, abs=1e-13)
+            assert np.linalg.norm(w_k) == pytest.approx(s_k, abs=1e-13)
+        return whole
+
     def test_array_of_shifts_in_chunks(self, monkeypatch):
-        # a 1-D array of z gives each z's scalar value and vector, bit for
-        # bit, also when the stack is split into chunks of 3 shifts
+        # a 1-D array of z gives each z's value, least column and vector,
+        # bit for bit, also when the stack is split into chunks of 3 shifts
         a = generate_matrix("ginibre", 5, 4)
         zs = np.linspace(-2, 2, 7) + 0.3j
-        alone = [spectral.shifted_smallest_pair(a, z) for z in zs]
-        whole = spectral.shifted_smallest_pair(a, zs)
-        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
-        chunked = spectral.shifted_smallest_pair(a, zs)
-        for s, x, _, _ in (whole, chunked):
-            assert s.shape == (7,) and x.shape == (7, 5)
-            assert np.array_equal(s, [pair.s for pair in alone])
-            assert np.array_equal(x, [pair.x for pair in alone])
-            assert np.array_equal(s, shifted_smallest_singular(a, zs))
-        for z, (s_k, x_k, _, _) in zip(zs, alone):
-            assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
+        whole = self.assert_chunks_agree(a, zs, monkeypatch)
+        # with B = I the least column is (zI - A)x up to a unit phase, which
+        # the pinning of V's phases sets
+        for z, w_k, x_k in zip(zs, whole.w, whole.x):
+            image = (z * np.eye(5) - a) @ x_k
+            phase = np.vdot(image, w_k) / np.vdot(image, image)
+            assert abs(abs(phase) - 1.0) <= 1e-13
+            assert np.abs(w_k - phase * image).max() <= 1e-13
 
     def test_bound_of_another_shape_raises(self):
         a = generate_matrix("ginibre", 4, 1)
         zs = np.linspace(-1, 1, 3) + 0.5j
         with pytest.raises(DimensionError, match="bound"):
-            spectral.shifted_smallest_pair(a, zs, bound=np.zeros(2))
+            spectral.shifted_smallest(a, zs, bound=np.zeros(2))
         with pytest.raises(DimensionError, match="bound"):
-            spectral.shifted_smallest_pair(a, zs[0], bound=np.zeros(1))
-        pair = spectral.shifted_smallest_pair(a, zs[0], bound=0.0)
-        assert pair.converged and pair.sweeps > 1
+            spectral.shifted_smallest(a, zs[:1], bound=0.0)
+        one = spectral.shifted_smallest(a, zs[:1], bound=np.zeros(1))
+        assert one.converged[0] and one.sweeps[0] > 1
+
+    @pytest.mark.parametrize("zs", [0.5j, np.complex128(0.5j), np.zeros((2, 2))],
+                             ids=["scalar", "0-D", "2-D"])
+    def test_shifts_other_than_1d_raise(self, zs):
+        with pytest.raises(DimensionError, match="1-D"):
+            spectral.shifted_smallest(generate_matrix("ginibre", 4, 1), zs)
 
     def test_schur_basis_shifts_in_chunks(self, monkeypatch):
         # an Analysis gets the columns zQ - AQ and x = Qv: still each z's
-        # scalar value and vector, bit for bit, alone, whole and in chunks
+        # value, least column and vector, bit for bit, alone, whole and in
+        # chunks
         an = spectral.analyze(generate_matrix("ginibre", 5, 4))
-        a = an.a
         assert an.basis[0] is an.schur.q
         zs = np.linspace(-2, 2, 7) + 0.3j
-        alone = [spectral.shifted_smallest_pair(an, z) for z in zs]
-        whole = spectral.shifted_smallest_pair(an, zs)
-        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
-        chunked = spectral.shifted_smallest_pair(an, zs)
-        for s, x, _, _ in (whole, chunked):
-            assert s.shape == (7,) and x.shape == (7, 5)
-            assert np.array_equal(s, [pair.s for pair in alone])
-            assert np.array_equal(x, [pair.x for pair in alone])
-            assert np.array_equal(s, shifted_smallest_singular(an, zs))
+        whole = self.assert_chunks_agree(an, zs, monkeypatch)
         # Q only rotates, so s is that of the plain columns up to round-off
-        plain = shifted_smallest_singular(a, zs)
-        assert np.abs(whole[0] - plain).max() <= 1e-14 * max(1.0, frob(a))
-        for z, (s_k, x_k, _, _) in zip(zs, alone):
-            assert np.linalg.norm((z * np.eye(5) - a) @ x_k) == pytest.approx(s_k, abs=1e-13)
+        plain = shifted_smallest_singular(an.a, zs)
+        assert np.abs(whole.s - plain).max() <= 1e-14 * max(1.0, frob(an.a))
 
     def test_raw_matrix_runs_no_schur_form(self, monkeypatch):
         a = generate_matrix("ginibre", 5, 4)
