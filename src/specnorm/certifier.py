@@ -5,11 +5,11 @@ smallest singular value equals the distance to the spectrum at every probe,
 the matrix is normal. A failing probe is itself a nonnormality witness: the
 test is one-sided, ||(zI - A)x|| >= s(z) for every unit x and s(z) <= d(z),
 so a unit x with ||(zI - A)x|| below d(z) - tol_eq decides Nonnormal, and
-certify stops the probe Jacobi as soon as one appears. The probe Jacobi runs
-for values only; only the witness needs a vector, and it comes from the
-witness probe's stopped column by one back substitution against the Schur
-triangle T, checked against A before it is kept. The
-certificate of a Normal verdict is the unitary factor Q of the Schur form
+certify stops the probe Jacobi after the first rotation step that makes one
+appear. The probe Jacobi runs for values only; only the witness needs a
+vector, and it comes from the witness probe's stopped column by one back
+substitution against the Schur triangle T, checked against A before it is
+kept. The certificate of a Normal verdict is the unitary factor Q of the Schur form
 A = Q T Q* that also gave the spectrum: T is diagonal for a normal matrix, so
 Q is an orthonormal eigenbasis, checked by ||Q*Q - I||_F and by
 ||offdiag(Q*AQ)||_F, Henrici's departure from normality. The definitional
@@ -95,8 +95,9 @@ class NormalityCertificate:
     # Nonnormal only: a unit x with ||(zI - A)x|| = the witness's s >= s(z)
     # at the witness probe z, so A + (zI - A)x x* has z as an eigenvalue
     witness_vector: np.ndarray | None = None
-    # the sweeps of the probe Jacobi: where it stopped at a witness, or where
-    # its last item converged (the largest over its stacks, if several)
+    # the sweeps of the probe Jacobi: the one in which it stopped at a
+    # witness, or the one in which its last item converged (the largest over
+    # its stacks, if several)
     jacobi_sweeps: int = 0
 
 
@@ -132,13 +133,22 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     reps = [lam for lam, _ in spectrum.clusters]
     p = len(reps)
     direction = np.exp(1j * angle)
+    # each representative's distance to its nearest other one, from one
+    # modulus per pair: |a - b| and |b - a| are the same bits
+    nearest = [math.inf] * p
+    for k in range(p):
+        for j in range(k + 1, p):
+            delta = _cabs(reps[j] - reps[k])
+            if delta < nearest[k]:
+                nearest[k] = delta
+            if delta < nearest[j]:
+                nearest[j] = delta
     probes = []
     for k in range(p):
         if p == 1:
             radius = spectrum.scale / 2.0
         else:
-            delta = min(_cabs(reps[j] - reps[k]) for j in range(p) if j != k)
-            radius = (1.0 - TIE_MARGIN) * delta / 2.0
+            radius = (1.0 - TIE_MARGIN) * nearest[k] / 2.0
         z = complex(reps[k] + radius * direction)
         # strict-nearest sanity check; guaranteed by construction
         others = [_cabs(z - reps[j]) for j in range(p) if j != k]
@@ -373,9 +383,9 @@ def _witness(
     that gives None, the probe runs alone through
     spectral.shifted_smallest with V and its bound, and s, converged
     and x all come from that one run, so ||(zI - A)x|| is again its s. That
-    run continues past the sweep at which the stack stopped whenever another
-    probe stopped it; should it then pass, certify raises IndeterminateError
-    rather than name a witness that is not one.
+    run continues past the rotation step at which the stack stopped whenever
+    another probe stopped it; should it then pass, certify raises
+    IndeterminateError rather than name a witness that is not one.
     """
     x = _back_substituted_witness(an, e.z, w, bound)
     if x is not None:
@@ -490,19 +500,20 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     The probe Jacobi is one values-only spectral.shifted_smallest call over
     all probe shifts (one kernels.svd stack while it fits in
     spectral.STACK_ENTRIES, at n*n entries per probe). The call carries
-    each probe's witness_bound, so the Jacobi stops after the first sweep
-    that leaves a probe still rotating with a column norm below it: that
-    probe fails, whatever more sweeps would give, because a column norm is
+    each probe's witness_bound, so the Jacobi stops after the first rotation
+    step that leaves a column norm of a probe still rotating below it: that
+    probe fails, whatever more steps would give, because a column norm is
     ||(zI - A)x|| for a unit x and so at least s(z). The probes still
     rotating then are not converged; their s is an upper bound and their gap
     a lower bound. A stack with no such column runs to convergence exactly
-    as without bounds. When probes fail, the lowest-index one at the sweep
+    as without bounds. When probes fail, the lowest-index one at the step
     where the stack stopped (which can differ from the first failing probe
-    of a converged stack) is the witness, and jacobi_sweeps records that
-    sweep. The stack carries no V: the witness_vector x is recovered from
-    the witness's column of least norm w = (zQ - AQ)v by one back
-    substitution, v = (zI - T)^{-1} Q*w and x = Qv/||Qv||, and kept once
-    ||(zI - A)x|| is below the witness bound. Where it is not (the columns
+    of a converged stack, or of a stack stopped later) is the witness, and
+    jacobi_sweeps records the sweep that step belongs to. The stack carries
+    no V: the witness_vector x is recovered from the witness's column of
+    least norm w = (zQ - AQ)v by one back substitution,
+    v = (zI - T)^{-1} Q*w and x = Qv/||Qv||, and kept once ||(zI - A)x|| is
+    below the witness bound. Where it is not (the columns
     were those of zI - A, a pivot of zI - T is zero, or x misses the bound),
     the witness probe runs again alone with V through
     spectral.shifted_smallest, and its s and x both come from that run.

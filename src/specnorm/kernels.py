@@ -28,13 +28,15 @@ complex coefficient of the rotation (the columns differ from a real-sine
 rotation's only by unit phases, which `jacobi_svd`'s phase pinning on V
 absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
-columns. A per-item bound stops the core early: after the first sweep that
-leaves an item still rotating with a column norm below its bound, the items
+columns. A per-item bound stops the core early: after the first rotation
+step that leaves a live item with a column norm below its bound, the items
 still rotating are STOPPED, not converged. Any column norm is ||A_i v|| for
 a unit v, so it bounds sigma_min from above, and a caller that only needs to
 know whether sigma_min is below a threshold (the certifier's nonnormality
 witness) has its answer; a stack in which no norm falls below its bound runs
-as without one, bit for bit.
+as without one, bit for bit. A step reads the column norms only when a
+pre-test on its own 2x2 quantities, with a rounding margin derived in
+`_jacobi`, says one may have fallen below its bound.
 `jacobi_svd`, the core's one entry point, runs it once on the columns of
 every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
 (no U: nothing reads it), and reports a status per item instead of raising;
@@ -76,6 +78,8 @@ TINY = float(np.finfo(np.float64).tiny)
 
 MAX_QR_ITERS_PER_N = 30
 MAX_JACOBI_SWEEPS = 30
+# the rounding margin of `_jacobi`'s stop pre-test, in units of rows*EPS
+STOP_GUARD = 32.0
 
 
 def as_square(a) -> np.ndarray:
@@ -363,8 +367,8 @@ class SvdResult:
     were asked for); column i of A V is orthogonal to the others and has norm
     sigma[i]. converged is False, per item, where a bound stopped the sweeps
     first: sigma is then the column norms of A V, not yet orthogonal, and
-    sweeps counts the sweeps run. least is the column of A V of least norm,
-    sigma[..., -1], with or without V.
+    sweeps counts the sweeps run, the one cut short included. least is the
+    column of A V of least norm, sigma[..., -1], with or without V.
     """
 
     sigma: np.ndarray
@@ -406,7 +410,7 @@ def _squared_column_norms(h: np.ndarray) -> np.ndarray:
     """Squared norms of the columns h[..., j, :]: the one formula sigma is read from.
 
     np.add.reduce and np.square are what np.sum and ** 2 call, without their
-    Python-level dispatch, which the per-sweep check in `_jacobi` would pay.
+    Python-level dispatch, which the stop test in `_jacobi` would pay.
     """
     return np.add.reduce(np.square(np.abs(h)), axis=-1)
 
@@ -439,18 +443,67 @@ def _jacobi(
     and s = 0.
     An item has converged when a sweep rotates nothing in it; it then leaves
     the working set.
-    With a bound (one float per item), each sweep that leaves items still
-    rotating ends with a check: if one of them has a column whose norm (over
-    the first `rows` entries, as `_squared_column_norms` and a square root
-    give it, which is how `jacobi_svd` reads sigma) is below its bound, the
-    core stops. Each column is the image of a unit vector, so its norm is an
-    upper bound on the item's smallest singular value. The check only reads
-    the columns, so a stack in which no norm falls below its bound runs
-    exactly as without one. Converged items are final and are not checked,
-    and neither is an item whose zeroed columns `jacobi_svd` refused, since
-    it rotates nothing and converges in the first sweep.
+    With a bound (one float per item), the core stops after the first
+    rotation step that leaves a live item with a column whose norm (over the
+    first `rows` entries, as `_squared_column_norms` and a square root give
+    it, which is how `jacobi_svd` reads sigma) is below its bound: the full
+    test. Each column is the image of a unit vector, so its norm is an upper
+    bound on the item's smallest singular value. The test only reads the
+    columns, so a stack in which no norm falls below its bound runs exactly
+    as without one. Converged items are final and are not tested, and an
+    item whose bound is not positive never stops the core.
+    A step runs the full test only when a pre-test on what the step already
+    holds says that a column may have fallen below its bound. In exact
+    arithmetic a rotation turns app and aqq into app - t|apq| and
+    aqq + t|apq|, so neither new squared norm is below
+    m2 = min(app, aqq) - |t||apq| (t = 0 where the pair does not rotate).
+    The pre-test asks whether some pair of an item has
+    m2 < b^2 + g(b^2 + F^2 + TINY), with b the item's bound, F^2 the sum of
+    its squared column norms as the core received them, and
+    g = STOP_GUARD*rows*EPS; b^2 is taken as inf for b >= 2^511, so it
+    never overflows, and the threshold is -inf for b <= 0. For even n
+    every column is in a pair of every step. For odd n one column sits out
+    each step, so the first step that rotates runs the full test whatever
+    the pre-test says; after it, a column that a step leaves alone is as a
+    test last read it.
+    The pre-test never skips a stop that the full test would make. With
+    u = EPS/2, r = rows (a column's float64 view holds 2r reals) and
+    S = ||w_p||^2 + ||w_q||^2 for the pair's stored columns, to first order
+    (Higham 2002, Sections 3.1 and 3.6):
+    (1) app and aqq err by at most gamma_{2r} relative, and apq by at most
+        sqrt(2)*gamma_{2r}*sqrt(app*aqq), so the computed Gram matrix of the
+        pair is within 1.71*gamma_{2r}*S of the exact one in the 2-norm,
+        and so is every squared norm it gives a unit coefficient vector.
+    (2) The computed t is t*(1 + theta), |theta| <= gamma_8, with t* exact
+        for the computed Gram matrix (|apq|, tau and |tau| + hypot(1, tau),
+        whose relative condition in tau is at most 1). With cs and s exact
+        for t, the pair's least new squared norm is then
+        min(app, aqq) - |t||apq| plus at most
+        2|theta|*t*^2/(1 + t*^2)*sqrt(|apq|^2 + (aqq - app)^2/4) <= 4u*S,
+        and m2's own three roundings add at most 3u*S.
+    (3) The computed cs and s are within gamma_10 of those exact for t,
+        which moves a squared norm by at most 2*gamma_10*S.
+    (4) Forming cs*w_p - conj(s)*w_q errs entrywise by at most
+        gamma_6(|cs||w_p| + |s||w_q|), at most 2*gamma_6*S on the squared
+        norm.
+    So each new column of the pair has a squared norm of at least
+    m2 - (1.71*r + 20)*EPS*S. The full test stops on fl(sqrt(N)) < b, with
+    N the computed squared norm: sqrt is correctly rounded and b is a float,
+    so N < b^2, and N errs by at most gamma_{r+4} relative. So a stop needs
+    m2 < b^2(1 + gamma_{r+5}) + (1.71*r + 20)*EPS*S. The threshold is
+    above that: S is at most F^2 but for the rounding of the at most
+    MAX_JACOBI_SWEEPS*n steps run, each of which grows the sum of squared
+    norms by at most a factor 1 + 32u, and g = 32*r*EPS exceeds both
+    (r + 5)*u and (1.71*r + 20)*EPS for every r >= 1, with room for the
+    threshold's own four roundings and the second-order terms. The TINY
+    term covers underflow: an operation whose result is below TINY errs by
+    at most u*TINY, and the fewer than 10r + 50 operations behind m2 and N,
+    each weighed by at most 1, stay below g*TINY = 64r*u*TINY. A pair whose
+    squared norms are not finite gives a NaN m2 only where the step turns
+    both its columns NaN, which no test reads as below a bound.
     Returns the rotated stack, the converged flags, per item the residual
-    and the sweeps it took part in, and whether a bound stopped the core.
+    and the sweeps it took part in (a sweep that a bound cut short counts
+    as one), and whether a bound stopped the core.
     The residual is 0 for a converged or stopped item, and for an item
     still rotating when MAX_JACOBI_SWEEPS ran out, the largest coupling
     |<w_p, w_q>|/(||w_p|| ||w_q||) over the first `rows` entries left in its
@@ -465,13 +518,24 @@ def _jacobi(
     sweeps = np.zeros(b, dtype=np.int64)
     live = np.arange(b)
     work = x
-    # the bound of each live item, against each of its columns
-    limit = None if bound is None else bound[:, None]
+    if bound is not None:
+        # the bound of each live item, against each of its columns, and the
+        # pre-test's threshold on the least new squared norm of its pairs
+        limit = bound[:, None]
+        guard = STOP_GUARD * rows * EPS
+        square = np.square(np.where(bound < 2.0**511, bound, np.inf))
+        frob2 = _squared_column_norms(x[..., :rows]).sum(axis=1)
+        limit2 = np.where(bound > 0.0, square + guard * (square + frob2 + TINY), -np.inf)[:, None]
+    # for odd n a column sits out each step, where the pre-test does not
+    # read it, so the first step that rotates runs the full test
+    tested = n % 2 == 0
     sweep = 0
     stopped = False
     while live.size and sweep < MAX_JACOBI_SWEEPS:
         sweep += 1
-        moved = np.zeros(live.size, dtype=bool)
+        # the pairs each step of this sweep rotated: an item in none of them
+        # has converged
+        masks = [np.zeros((live.size, 1), dtype=bool)]
         for p, q in steps:
             wp = work[:, p]
             wq = work[:, q]
@@ -489,17 +553,29 @@ def _jacobi(
             rot = (scale > 0.0) & (acpq > ctol * scale)
             if not np.count_nonzero(rot):
                 continue
-            moved |= rot.any(axis=1)
+            masks.append(rot)
             den = acpq + ~rot
             tau = (aqq - app) / (2.0 * den)
-            t = np.copysign(rot / (np.abs(tau) + np.hypot(1.0, tau)), tau)
+            at = rot / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.copysign(at, tau)
             cs = 1.0 / np.sqrt(1.0 + t * t)
             s = (t * cs) * apq / den
+            test = bound is not None and (
+                not tested or np.count_nonzero(np.minimum(app, aqq) - at * acpq < limit2)
+            )
             cs = cs[..., None]
             s = s[..., None]
             work[:, p] = cs * wp - s.conj() * wq
             work[:, q] = s * wp + cs * wq
-        done = ~moved
+            if test:
+                tested = True
+                norms = np.sqrt(_squared_column_norms(work[..., :rows]))
+                if np.count_nonzero(norms < limit):
+                    stopped = True
+                    break
+        if stopped:
+            break
+        done = ~np.logical_or.reduce(np.concatenate(masks, axis=1), axis=1)
         if done.any():
             left = live[done]
             converged[left] = True
@@ -508,11 +584,7 @@ def _jacobi(
             live, work = live[~done], work[~done]
             if bound is not None:
                 limit = limit[~done]
-        if bound is not None and live.size:
-            norms = np.sqrt(_squared_column_norms(work[..., :rows]))
-            if np.count_nonzero(norms < limit):
-                stopped = True
-                break
+                limit2 = limit2[~done]
     if live.size:
         sweeps[live] = sweep
         x[live] = work
@@ -574,15 +646,17 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     the largest coupling left, else 0), and one with a non-finite sigma
     (entries outside about 1e-145..1e154) NONFINITE_SIGMA.
     bound, if given, is one float per item (else DimensionError): the core
-    stops after the first sweep that leaves an item still rotating with a
-    column norm below its bound (see `_jacobi`; a refused item's zeroed
-    columns never count). The items still rotating then are STOPPED: their
-    sigma is their column norms, whose smallest is an upper bound on
-    sigma_min, and with vectors V's smallest column v gives ||A_i v|| = that
-    norm, up to round-off. A stack in which no norm falls below its bound gives the same
-    bits as without one. sigma is NaN on every item that is neither OK,
-    STOPPED nor UNCONVERGED. sweeps counts the sweeps an item took part in,
-    its last one included. The A part takes the same arithmetic with or
+    stops after the first rotation step that leaves a live item with a
+    column norm below its bound (see `_jacobi`). A refused item's zeroed
+    columns read norm 0, which says nothing about it, so its bound is taken
+    as 0, below which no norm falls. The items still rotating when the core
+    stops are STOPPED: their sigma is their column norms, whose smallest is
+    an upper bound on sigma_min, and with vectors V's smallest column v
+    gives ||A_i v|| = that norm, up to round-off. A stack in which no norm
+    falls below its bound gives the same bits as without one. sigma is NaN
+    on every item that is neither OK, STOPPED nor UNCONVERGED. sweeps counts
+    the sweeps an item took part in, its last one included, also when a
+    bound cut it short. The A part takes the same arithmetic with or
     without vectors, alone or in any stack, so sigma, least, status,
     residual and sweeps are bit-identical either way, for the same bound.
     """
@@ -607,6 +681,7 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
         bound = np.asarray(bound, dtype=np.float64)
         if bound.shape != (b,):
             raise DimensionError(f"expected a bound of shape ({b},), got {bound.shape}")
+        bound = np.where(refused, 0.0, bound)
     if vectors:
         x[..., n:] = np.eye(n)
     x, converged, residual, sweeps, stopped = _jacobi(x, n, bound)
@@ -646,13 +721,15 @@ def svd(a, bound=None, vectors: bool = True) -> SvdResult:
     sweeps are the same bits either way. Accurate for small singular values,
     which is what the shifted-matrix consumers need. Any other shape raises
     DimensionError.
-    bound, of shape () or (B,), goes to jacobi_svd: an item it stopped is
-    not converged, and its sigma is its column norms (the smallest an upper
-    bound on sigma_min) and V their unit preimages. Without a bound every
-    returned item is converged. The first item, in stack order, whose status
-    is neither OK nor STOPPED raises what svd of that item alone raises:
-    ConvergenceError when the sweep budget runs out (residual: the largest
-    coupling left at exit), else NonFiniteError. The zero matrix has sigma 0.
+    bound, of shape () or (B,), goes to jacobi_svd, whose core stops after
+    the first rotation step that leaves a column norm below its item's
+    bound: an item it stopped is not converged, and its sigma is its column
+    norms (the smallest an upper bound on sigma_min) and V their unit
+    preimages. Without a bound every returned item is converged. The first
+    item, in stack order, whose status is neither OK nor STOPPED raises
+    what svd of that item alone raises: ConvergenceError when the sweep
+    budget runs out (residual: the largest coupling left at exit), else
+    NonFiniteError. The zero matrix has sigma 0.
     """
     m = np.asarray(a, dtype=np.complex128)
     if bound is not None and m.ndim == 2:

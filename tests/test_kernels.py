@@ -1,11 +1,15 @@
 """Kernel factorization tests: frozen examples, residual properties, oracles."""
 
 import ast
+import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specnorm import kernels
 from specnorm.errors import (
@@ -932,14 +936,56 @@ class TestSvdStack:
         assert values.value.residual == full.value.residual
 
 
+class CountedSteps:
+    """Stands in for `_round_robin(n)` in `_jacobi` and counts the steps it hands out."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.count = 0
+
+    def __iter__(self):
+        for step in self.steps:
+            self.count += 1
+            yield step
+
+
+def read_norms_after_each_step(stack, vectors):
+    """Column norms the core could stop on: the initial ones, then every
+    read of `_squared_column_norms` in `_jacobi` (its threshold's read of
+    the initial columns, and the full test's after each step that rotates).
+
+    The pre-test is forced to pass at every step and the bound is below
+    every norm, so the core runs as without a bound. Each entry has a row
+    per item still live then; the last read, `jacobi_svd`'s own, is dropped.
+    """
+    reads = [np.linalg.norm(stack, axis=1)]
+
+    def spy(h):
+        norms = squared_column_norms(h)
+        reads.append(np.sqrt(norms))
+        return norms
+
+    squared_column_norms = kernels._squared_column_norms
+    with mock.patch.object(kernels, "STOP_GUARD", math.inf), \
+            mock.patch.object(kernels, "_squared_column_norms", spy):
+        kernels.jacobi_svd(stack, vectors, bound=np.full(len(stack), 1e-300))
+    return reads[:-1]
+
+
 class TestJacobiBound:
-    # a per-item bound stops the core after the first sweep that leaves an
-    # item still rotating with a column norm below it
+    # a per-item bound stops the core after the first rotation step that
+    # leaves a live item with a column norm below it
     @pytest.mark.parametrize("vectors", [False, True])
-    @pytest.mark.parametrize("kind", ["ginibre", "normal", "near_normal", "jordan"])
-    def test_no_item_below_its_bound_is_bit_identical(self, kind, vectors):
+    @pytest.mark.parametrize(
+        "kind, n",
+        [pytest.param(kind, n, id=kind if n == 6 else f"{kind}-n{n}")
+         for n in (6, 5, 7) for kind in ("ginibre", "normal", "near_normal", "jordan")],
+    )
+    def test_no_item_below_its_bound_is_bit_identical(self, kind, n, vectors):
+        # odd n leaves one column out of each step, where the pre-test does
+        # not read it
         param = {"near_normal": 1e-3, "jordan": 0.0}.get(kind)
-        a = generate_matrix(kind, 6, 8, param)
+        a = generate_matrix(kind, n, 8, param)
         stack = shifted_stack(a, np.linspace(-2, 2, 4))
         free = kernels.jacobi_svd(stack, vectors)
         bounded = kernels.jacobi_svd(stack, vectors, bound=0.5 * free.sigma[:, -1])
@@ -954,8 +1000,8 @@ class TestJacobiBound:
 
     def test_a_witness_stops_the_stack(self):
         # item 1's bound lies above its sigma_min; every column norm is an
-        # upper bound on sigma_min, so the first sweep that brings one below
-        # the bound stops every item still rotating
+        # upper bound on sigma_min, so the first rotation step that brings
+        # one below the bound stops every item still rotating
         a = generate_matrix("ginibre", 8, 2)
         stack = shifted_stack(a, np.linspace(-1, 1, 3))
         free = kernels.svd(stack)
@@ -979,6 +1025,74 @@ class TestJacobiBound:
         assert np.array_equal(raised.converged, res.status == kernels.OK)
         assert np.array_equal(raised.sigma, res.sigma)
         assert np.array_equal(raised.sweeps, res.sweeps)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a_witness_at_the_first_step_stops_the_core_there(self, n, monkeypatch):
+        # columns p and q of the first step's first pair are nearly
+        # parallel, so its rotation leaves one of norm about 0.007 against a
+        # least column norm of 1 before it; n = 5 also has a column that
+        # sits the step out
+        steps = kernels._round_robin(n)
+        p, q = steps[0][0][0], steps[0][1][0]
+        a = np.eye(n, dtype=complex)
+        a[p, q] = 1.0
+        a[q, q] = 1e-2
+        stack = np.stack([a, generate_matrix("ginibre", n, 3)])
+        bound = np.array([0.5, 0.0])
+        counted = CountedSteps(steps)
+        monkeypatch.setattr(kernels, "_round_robin", lambda _: counted)
+        res = kernels.jacobi_svd(stack, vectors=False, bound=bound)
+        assert counted.count == 1
+        assert res.status.tolist() == [kernels.STOPPED, kernels.STOPPED]
+        assert res.sweeps.tolist() == [1, 1]
+        assert res.sigma[0, -1] < bound[0] < np.linalg.norm(a, axis=0).min()
+
+    def test_a_column_that_sits_out_the_first_step_is_read_after_it(self, monkeypatch):
+        # at n = 5 column 0 sits out the first step, whose pair (1, 4)
+        # rotates without a new norm below the bound; column 0 already is
+        # below it, and only the full test after that step reads it
+        steps = kernels._round_robin(5)
+        assert 0 not in steps[0][0] and (1, 4) in zip(*steps[0])
+        a = np.diag([0.1, 1.0, 1.0, 1.0, 1.0]).astype(complex)
+        a[1, 4] = 0.5
+        counted = CountedSteps(steps)
+        monkeypatch.setattr(kernels, "_round_robin", lambda _: counted)
+        res = kernels.jacobi_svd(a[None], vectors=False, bound=np.array([0.5]))
+        assert counted.count == 1
+        assert res.status[0] == kernels.STOPPED and res.sigma[0, -1] == 0.1
+        assert res.sigma[0, -2] > 0.5
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 9),
+        items=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        vectors=st.booleans(),
+        pick=st.integers(0, 10**6),
+        column=st.integers(0, 8),
+        ulps=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    )
+    def test_the_pretest_never_skips_a_stop(self, n, items, seed, vectors, pick, column, ulps):
+        # bounds within a few ulps of a column norm that the full test reads
+        # after some step; forcing the full test at every step must give the
+        # same bits as letting the pre-test decide
+        rng = np.random.default_rng(seed)
+        stack = random_complex(rng, items * n, n).reshape(items, n, n)
+        reads = [r for r in read_norms_after_each_step(stack, vectors) if len(r) == items]
+        norms = np.sort(reads[pick % len(reads)], axis=1)[:, column % n]
+        bound = norms.copy()
+        for i, k in enumerate(ulps[:items]):
+            for _ in range(abs(k)):
+                bound[i] = np.nextafter(bound[i], math.copysign(math.inf, k))
+        res = kernels.jacobi_svd(stack, vectors, bound=bound)
+        with mock.patch.object(kernels, "STOP_GUARD", math.inf):
+            full = kernels.jacobi_svd(stack, vectors, bound=bound)
+        for name in ("sigma", "least", "status", "residual", "sweeps"):
+            assert np.array_equal(getattr(res, name), getattr(full, name))
+        assert not vectors or np.array_equal(res.v, full.v)
+        if column % n == 0 and max(ulps[:items]) > 0:
+            # some item's least column fell below its bound by that step
+            assert (full.status == kernels.STOPPED).any()
 
     def test_stopped_items_are_not_unconverged(self, monkeypatch):
         # with a one-sweep budget the ginibre items run out of sweeps; a
