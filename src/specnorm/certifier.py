@@ -19,7 +19,14 @@ those, the two residuals of Q are checked before any probe Jacobi runs, and
 when both meet their bounds, the same M = Q*AQ gives a rigorous lower bound
 on s(z) at every probe (`_schur_bound_evidence`). When that bound proves
 every probe, the verdict is Normal with no Jacobi at all; otherwise the
-probe Jacobi decides every probe, as for a matrix the screen refused.
+probe stack decides every probe, as for a matrix the screen refused. A probe
+passes on a lower bound on s(z), which needs no SVD: when the commutator is
+at most sqrt(tol_eq*scale)*scale, the probe stack carries a floor per probe
+(`_floors`), and its one kernels.svd call first runs one Cholesky
+factorization over the stack that proves sigma_n(zQ - AQ) above every
+floor, so every probe passes with no Jacobi sweep, or declines, and the
+probe Jacobi runs as without floors. The two Normal gates then decide
+between Normal and Indeterminate.
 
 The structural checks (semisimplicity, left eigenvectors, orthogonal
 eigenspaces, an eigenbasis assembled from kernel vectors) are library
@@ -57,7 +64,9 @@ class ProbeEvidence:
     probe Jacobi, and when converged is False there, s is ||(zI - A)x|| for
     a unit x, an upper bound on sigma_n(zI - A), and gap a lower bound.
     "schur_bound" is `_schur_bound_evidence`'s lower bound on
-    sigma_n(zI - A), so gap is an upper bound."""
+    sigma_n(zI - A), so gap is an upper bound. "floor" is the probe's
+    pass_bound, a lower bound on sigma_n(zI - A) that the probe stack's
+    Cholesky proved (`_floors`), so gap is an upper bound there too."""
 
     z: complex
     lam: complex
@@ -110,6 +119,54 @@ class CertifyConfig:
     probe_angle: float = 0.0
 
 
+# from this many distinct eigenvalues on, select_probes forms its moduli in
+# numpy broadcasts; below it, as Python scalars, whose few calls cost less
+# than the broadcasts' fixed numpy overhead
+BROADCAST_FROM = 8
+
+
+def _placed_by_scalars(reps: list[complex], direction: complex):
+    """select_probes's (zs, radii, first z that fails the guard or None), one _cabs per modulus."""
+    p = len(reps)
+    # each representative's distance to its nearest other one, from one
+    # modulus per pair: |a - b| and |b - a| are the same bits
+    nearest = [math.inf] * p
+    for k in range(p):
+        for j in range(k + 1, p):
+            delta = _cabs(reps[j] - reps[k])
+            if delta < nearest[k]:
+                nearest[k] = delta
+            if delta < nearest[j]:
+                nearest[j] = delta
+    radii = [(1.0 - TIE_MARGIN) * m / 2.0 for m in nearest]
+    zs = [complex(lam + r * direction) for lam, r in zip(reps, radii)]
+    for k, z in enumerate(zs):
+        if _cabs(z - reps[k]) >= min([_cabs(z - reps[j]) for j in range(p) if j != k]):
+            return zs, radii, z
+    return zs, radii, None
+
+
+def _placed_by_broadcast(reps: np.ndarray, direction: complex):
+    """`_placed_by_scalars`'s result, bit for bit, from two (p, p) broadcasts of moduli.
+
+    np.hypot is the C library's hypot, as `_cabs` is; np.abs on a complex
+    array of more than a few entries takes a vectorized loop that can round
+    apart from it.
+    """
+    diff = reps[:, None] - reps
+    apart = np.hypot(diff.real, diff.imag)
+    np.fill_diagonal(apart, np.inf)
+    radii = (1.0 - TIE_MARGIN) * apart.min(axis=1) / 2.0
+    zs = reps + radii * direction
+    diff = zs[:, None] - reps
+    dists = np.hypot(diff.real, diff.imag)
+    own = dists.diagonal().copy()
+    np.fill_diagonal(dists, np.inf)
+    tied = own >= dists.min(axis=1)
+    first = complex(zs[tied.argmax()]) if tied.any() else None
+    return zs.tolist(), radii.tolist(), first
+
+
 def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     """One probe per distinct eigenvalue, strictly nearest to its own cluster.
 
@@ -131,31 +188,21 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     guards its condition.
     """
     reps = [lam for lam, _ in spectrum.clusters]
-    p = len(reps)
     direction = np.exp(1j * angle)
-    # each representative's distance to its nearest other one, from one
-    # modulus per pair: |a - b| and |b - a| are the same bits
-    nearest = [math.inf] * p
-    for k in range(p):
-        for j in range(k + 1, p):
-            delta = _cabs(reps[j] - reps[k])
-            if delta < nearest[k]:
-                nearest[k] = delta
-            if delta < nearest[j]:
-                nearest[j] = delta
-    probes = []
-    for k in range(p):
-        if p == 1:
-            radius = spectrum.scale / 2.0
-        else:
-            radius = (1.0 - TIE_MARGIN) * nearest[k] / 2.0
-        z = complex(reps[k] + radius * direction)
-        # strict-nearest sanity check; guaranteed by construction
-        others = [_cabs(z - reps[j]) for j in range(p) if j != k]
-        if others and _cabs(z - reps[k]) >= min(others):
-            raise IndeterminateError(f"probe {z} is not strictly nearest to its eigenvalue")
-        probes.append(Probe(z=z, cluster_index=k, radius=float(radius)))
-    return probes
+    if len(reps) == 1:
+        radius = spectrum.scale / 2.0
+        return [Probe(z=complex(reps[0] + radius * direction), cluster_index=0, radius=radius)]
+    if len(reps) < BROADCAST_FROM:
+        zs, radii, tied = _placed_by_scalars(reps, direction)
+    else:
+        zs, radii, tied = _placed_by_broadcast(np.array(reps), direction)
+    # the strict-nearest sanity check; guaranteed by construction
+    if tied is not None:
+        raise IndeterminateError(f"probe {tied} is not strictly nearest to its eigenvalue")
+    return [
+        Probe(z=z, cluster_index=k, radius=radius)
+        for k, (z, radius) in enumerate(zip(zs, radii))
+    ]
 
 
 def probe_evidence(
@@ -165,7 +212,8 @@ def probe_evidence(
     """Evidence at probe z of eigenvalue lambda, given s = sigma_n(zI - A).
 
     d = |z - lambda|, and the probe passes when d - s <= tol_eq. Unconverged,
-    s is an upper bound on sigma_n(zI - A); from "schur_bound", a lower one.
+    s is an upper bound on sigma_n(zI - A); from "schur_bound" or "floor", a
+    lower one.
     """
     d = _cabs(complex(z) - complex(lam))
     g = d - s
@@ -473,6 +521,50 @@ def _schur_bound_evidence(
     ]
 
 
+def _floors(
+    an: spectral.Analysis, zs: list[complex], ds: list[float], tol_eq: float
+) -> list[float]:
+    """Per probe z, a floor b on sigma_n(zQ - AQ) as computed: sigma_n above b passes the probe.
+
+    Called when the Analysis's basis is its Schur factor Q, so
+    f = ||Q*Q - I||_F <= TOL_CERT*n. With n the order and scale =
+    Analysis.scale,
+
+        b = pass_bound(d, tol_eq)*sqrt(1 + f') + eps_W,
+        f' = f + 2n(n + 2)*EPS,  eps_W = 2(n + 4)*sqrt(2n)*EPS*(|z| + scale).
+
+    Proof. Let W be the stack's item fl(zQ - fl(AQ)), as spectral forms it,
+    and phi = ||Q*Q - I||_2 for the computed Q.
+    (1) Rounding of W, as `_schur_bound_evidence` (2) rounds M
+        (c = sqrt(2)*gamma_{n+2} <= 0.71*(n + 2)*EPS, ||Q||_2^2 <= 2 and
+        ||Q||_F^2 <= 2n): fl(AQ) errs by at most c||A||_F ||Q||_F in the
+        Frobenius norm, each product zq_ij by sqrt(2)*gamma_2|z||q_ij|, and
+        each subtraction by u = EPS/2 of its result, at most
+        u(|z| ||Q||_F + 1.01*sqrt(2)*scale) in all. So
+        ||W - (zI - A)Q||_2 <= sqrt(2n)*((0.71*(n + 2) + 0.51)*scale +
+        1.92*|z|)*EPS, which is at most half eps_W; the other half covers
+        the three roundings of b itself, at most 1.1*EPS*(|z| + scale)
+        since pass_bound's d = |z - lambda| is at most |z| + 1.01*scale.
+    (2) phi <= f + 1.42*n*(n + 2)*EPS plus f's own rounding, at most
+        n^2*EPS*f <= 1e-8*n^3*EPS, as `_schur_bound_evidence` (3) has it;
+        f' exceeds that by at least 0.5*EPS, the rounding of 1 + f', for
+        1 <= n <= 10^7.
+    (3) sigma_n(W) > b gives sigma_n((zI - A)Q) > b - eps_W/2 - (b's own
+        rounding) >= pass_bound*sqrt(1 + phi), and
+        sigma_n((zI - A)Q) <= s(z)*||Q||_2 <= s(z)*sqrt(1 + phi), so
+        s(z) > pass_bound(d, tol_eq): the probe passes in exact arithmetic
+        and in probe_evidence's own (`pass_bound`).
+    A b that overflows or is NaN is not proved by `kernels._floor_holds`.
+    """
+    n = len(an.a)
+    stretch = math.sqrt(1.0 + an.unitarity + 2.0 * n * (n + 2) * EPS)
+    rounding = 2.0 * (n + 4) * math.sqrt(2.0 * n) * EPS
+    return [
+        pass_bound(d, tol_eq) * stretch + rounding * (_cabs(z) + an.scale)
+        for z, d in zip(zs, ds)
+    ]
+
+
 def _residual_gate(name: str, value: float, bound: float) -> None:
     if value > bound:
         raise IndeterminateError(
@@ -494,15 +586,22 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     `_schur_bound_evidence` takes a rigorous lower bound on s(z) at every
     probe from M. All or nothing: when the bound passes every probe, the
     verdict is Normal, each probe's source is "schur_bound", and no Jacobi
-    runs (jacobi_sweeps 0). Otherwise every probe goes to the probe Jacobi
+    runs (jacobi_sweeps 0). Otherwise every probe goes to the probe stack
     below, exactly as for a matrix the screen refused, and the gates read
     the values already formed.
-    The probe Jacobi is one values-only spectral.shifted_smallest call over
+    The probe stack is one values-only spectral.shifted_smallest call over
     all probe shifts (one kernels.svd stack while it fits in
-    spectral.STACK_ENTRIES, at n*n entries per probe). The call carries
-    each probe's witness_bound, so the Jacobi stops after the first rotation
-    step that leaves a column norm of a probe still rotating below it: that
-    probe fails, whatever more steps would give, because a column norm is
+    spectral.STACK_ENTRIES, at n*n entries per probe). When the commutator
+    is at most sqrt(tol_eq*scale)*scale and the stack's basis is Q, the
+    call carries a floor per probe (`_floors`): when its Cholesky proves
+    sigma_n(zQ - AQ) above every floor of a kernels.svd stack, that stack
+    runs no sweep, and each of its probes passes with s = pass_bound(d,
+    tol_eq) and source "floor". That filter only saves the Cholesky where
+    it would decline: it decides no verdict, and a stack the floor does not
+    prove runs exactly as without one.
+    The call carries each probe's witness_bound, so the Jacobi stops after
+    the first rotation step that leaves a column norm of a probe still
+    rotating below it: that probe fails, whatever more steps would give, because a column norm is
     ||(zI - A)x|| for a unit x and so at least s(z). The probes still
     rotating then are not converged; their s is an upper bound and their gap
     a lower bound. A stack with no such column runs to convergence exactly
@@ -569,13 +668,24 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
         witness = witness_vector = None
         sweeps = 0
         if evidence is None:
+            zs = [p.z for p in probes]
             bound = [witness_bound(d, tol_eq) for d in ds]
-            stack = spectral.shifted_smallest(
-                an, np.array([p.z for p in probes]), bound=np.array(bound)
-            )
+            floor = None
+            # a cost filter that decides no verdict: it keeps the Cholesky
+            # off matrices far from normal, whose probes no floor proves
+            if (
+                residuals.commutator <= math.sqrt(tol_eq * an.scale) * an.scale
+                and an.basis[0] is not None
+            ):
+                floor = _floors(an, zs, ds, tol_eq)
+            stack = spectral.shifted_smallest(an, np.array(zs), np.array(bound), floor=floor)
             evidence = [
-                probe_evidence(p.z, lam, s_k, tol_eq, ok)
-                for p, lam, s_k, ok in zip(probes, lams, stack.s.tolist(), stack.converged.tolist())
+                probe_evidence(z, lam, pass_bound(d, tol_eq), tol_eq, source="floor")
+                if floored else probe_evidence(z, lam, s_k, tol_eq, ok)
+                for z, lam, d, s_k, ok, floored in zip(
+                    zs, lams, ds, stack.s.tolist(), stack.converged.tolist(),
+                    stack.floored.tolist(),
+                )
             ]
             sweeps = max(stack.sweeps.tolist())
             failing = [k for k, e in enumerate(evidence) if not e.passed]

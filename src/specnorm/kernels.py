@@ -37,6 +37,14 @@ witness) has its answer; a stack in which no norm falls below its bound runs
 as without one, bit for bit. A step reads the column norms only when a
 pre-test on its own 2x2 quantities, with a rounding margin derived in
 `_jacobi`, says one may have fallen below its bound.
+A per-item floor proves the other side before any sweep, all or nothing
+per stack: `_floor_holds` runs one Cholesky factorization, vectorized over
+the stack, of each item's Gram matrix less its floor squared and a rounding
+margin derived there. When every pivot of every item is positive, every
+sigma_min is above its floor, every item is FLOORED and no rotation runs;
+otherwise the core runs exactly as without a floor. A caller that only needs
+to know that sigma_min is above a threshold (the certifier's passing
+probes) then has its answer.
 `jacobi_svd`, the core's one entry point, runs it once on the columns of
 every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
 (no U: nothing reads it), and reports a status per item instead of raising;
@@ -44,9 +52,10 @@ with or without V it returns each item's rotated column of least norm, the
 image A_i v of the v that sigma_min's column of V would hold up to a unit
 phase. `svd` is its raising wrapper, with V or values only. The certifier
 evaluates all its probes as one values-only `svd` stack (through
-`spectral.shifted_smallest`) and recovers its witness vector from that
-least column; `scan.scan_grid` and `scan.check_corollary` evaluate all
-their shifts of one matrix as values-only stacks too (through
+`spectral.shifted_smallest`), with a bound and, near normality, a floor per
+probe, and recovers its witness vector from that least column;
+`scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of
+one matrix as values-only stacks too (through
 `spectral.shifted_sigma_min_batch`). Every stack is built in `spectral`
 as zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
 ||Q*Q - I||_F meets certify's bound TOL_CERT*n, which makes the columns
@@ -80,6 +89,8 @@ MAX_QR_ITERS_PER_N = 30
 MAX_JACOBI_SWEEPS = 30
 # the rounding margin of `_jacobi`'s stop pre-test, in units of rows*EPS
 STOP_GUARD = 32.0
+# the rounding margin of `_floor_holds`'s Cholesky test, in units of (n + 2)*EPS
+FLOOR_GUARD = 8.0
 
 
 def as_square(a) -> np.ndarray:
@@ -368,7 +379,10 @@ class SvdResult:
     sigma[i]. converged is False, per item, where a bound stopped the sweeps
     first: sigma is then the column norms of A V, not yet orthogonal, and
     sweeps counts the sweeps run, the one cut short included. least is the
-    column of A V of least norm, sigma[..., -1], with or without V.
+    column of A V of least norm, sigma[..., -1], with or without V. floored
+    is True, per item, where a Cholesky proved sigma_min above the item's
+    floor before any sweep: converged is then False, sweeps 0, V the
+    identity up to the order of sigma, and sigma A's own column norms.
     """
 
     sigma: np.ndarray
@@ -376,6 +390,7 @@ class SvdResult:
     converged: np.ndarray | bool = True
     sweeps: np.ndarray | None = None
     least: np.ndarray | None = None
+    floored: np.ndarray | bool = False
 
 
 @lru_cache(maxsize=None)
@@ -599,9 +614,81 @@ def _jacobi(
     return x, converged, off, sweeps, stopped
 
 
+def _floor_holds(w: np.ndarray, floor: np.ndarray) -> bool:
+    """Whether every item W_i of a (B, n, n) column stack has sigma_min(W_i) > floor[i].
+
+    w[i, j] is column j of W_i. One Cholesky factorization, vectorized over
+    the stack, runs on H_i = fl(W_i*W_i) - c_i*I with
+    c_i = b_i^2 + g(F_i^2 + b_i^2 + n*TINY), b_i = floor[i], F_i^2 the sum
+    of W_i's squared column norms and g = FLOOR_GUARD*(n + 2)*EPS. It is
+    right-looking: step k divides row k right of the diagonal by the square
+    root of the pivot, the real part of h_kk, and subtracts that row's outer
+    product with its conjugate from the trailing block, so it reads only the
+    real diagonal and the upper triangle and factors the Hermitian matrix
+    they define. The answer is True when every pivot of every item is finite
+    and positive; the first step with a pivot that is not returns False. The
+    factor is not kept. A NaN or infinite b_i, or one whose square
+    overflows, gives a pivot that is not finite and positive.
+    True proves sigma_min(W_i) > b_i (Rump 2006, "Verification of positive
+    definiteness"; Higham 2002, Section 10.1). To first order, with
+    u = EPS/2, G = W*W exact (tr G = F^2) and c as computed:
+    (1) An entry of fl(W*W) is a complex inner product of length n, in
+        whatever order it is summed, so it errs by at most c_n(|W|*|W|)_jk,
+        c_n = sqrt(2)*gamma_{n+2} <= 0.71*(n + 2)*EPS (Higham 2002,
+        Sections 3.5-3.6). The Hermitian E1 read from its upper triangle and
+        real diagonal, less G, has |E1| <= c_n |W|*|W| entrywise, so
+        ||E1||_2 <= c_n || |W| ||_2^2 <= c_n F^2.
+    (2) Subtracting c from the diagonal rounds each entry by at most
+        u(g_jj + c), up to second order: a diagonal D with
+        ||D||_2 <= u(F^2 + c).
+    (3) A Cholesky that runs to the end with positive pivots on the
+        Hermitian H gives an upper triangular R with a positive diagonal and
+        R*R = H + E2, |E2| <= c_n |R|*|R|: each entry of R is h_jk less one
+        complex inner product of length below n, then a square root or a
+        division by a real root, which numpy's complex division takes as a
+        product with its reciprocal, two roundings (gamma_{n+1} in the real
+        case; complex products and that division stay within c_n). So
+        ||E2||_2 <= c_n ||R||_F^2, and ||R||_F^2 = tr(R*R) = tr H + tr E2
+        <= tr H + c_n ||R||_F^2 bounds ||R||_F^2 by tr H/(1 - c_n), which
+        is F^2 up to second order.
+    R*R is positive definite, so lambda_min(H) > -||E2||_2, and
+    G = H + cI - D - E1 gives
+    lambda_min(G) > c - ||E2||_2 - ||D||_2 - ||E1||_2
+    >= c - (2*c_n + u)F^2 - u*c, with 2*c_n + u <= (1.42*(n + 2) + 0.5)*EPS.
+    The computed c is at least
+    b^2 + g(F^2 + b^2)(1 - (3n + 6)u) - 2u*b^2: F^2 sums n^2 squared
+    moduli, its rounding below gamma_{2n+2}, and c takes five more
+    roundings. g = 8*(n + 2)*EPS is over five times the loss's coefficient
+    of F^2, and 16 times 3u, its coefficient of b^2 (u*c is u*b^2 up to
+    second order), which leaves room for the second-order terms. So
+    lambda_min(G) > b^2, which is sigma_min(W)^2 > b^2.
+    Underflow: a product or quotient below TINY errs by at most u*TINY (a
+    sum below it is exact), and g*n*TINY = 8n(n + 2)*EPS*TINY is the
+    leading underflow term of Rump's criterion; its other one,
+    4n*max_j h_jj*EPS*TINY, is far below the slack left in g*F^2.
+    """
+    b, n, _ = w.shape
+    with np.errstate(all="ignore"):
+        h = w.conj() @ w.transpose(0, 2, 1)
+        square = np.square(floor)
+        frob2 = _squared_column_norms(w).sum(axis=1)
+        c = square + FLOOR_GUARD * (n + 2) * EPS * (frob2 + square + n * TINY)
+        diag = h.reshape(b, -1)[:, :: n + 1]
+        diag -= c[:, None]
+        for k in range(n):
+            pivot = h[:, k, k].real
+            if np.count_nonzero((pivot > 0.0) & (pivot < np.inf)) < b:
+                return False
+            if k + 1 < n:
+                row = h[:, k, k + 1 :] / np.sqrt(pivot)[:, None]
+                h[:, k + 1 :, k + 1 :] -= row.conj()[:, :, None] * row[:, None, :]
+    return True
+
+
 # per-item status of jacobi_svd: the failures in the order it checks an
-# item, then STOPPED, an item whose sweeps a bound cut short
-OK, NONFINITE_ENTRY, UNDERFLOW, UNCONVERGED, NONFINITE_SIGMA, STOPPED = range(6)
+# item, then STOPPED, an item whose sweeps a bound cut short, and FLOORED,
+# an item whose floor a Cholesky proved before any sweep
+OK, NONFINITE_ENTRY, UNDERFLOW, UNCONVERGED, NONFINITE_SIGMA, STOPPED, FLOORED = range(7)
 
 # what svd raises for an item that jacobi_svd refuses or finds non-finite
 _NONFINITE = {
@@ -611,6 +698,8 @@ _NONFINITE = {
     NONFINITE_SIGMA: "Jacobi SVD produced a non-finite singular value "
     "(entries outside about 1e-145..1e154)",
 }
+# per status, whether svd raises for it: all but OK, STOPPED and FLOORED
+_RAISES = np.array([status not in (OK, STOPPED, FLOORED) for status in range(FLOORED + 1)])
 
 
 @dataclass
@@ -627,7 +716,7 @@ class JacobiStack:
     sweeps: np.ndarray
 
 
-def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
+def jacobi_svd(stack, vectors: bool, bound=None, floor=None) -> JacobiStack:
     """Singular values, and V if vectors, of every matrix in a (B, n, n) stack.
 
     The one caller of `_jacobi`. A stack that is not B >= 1 square matrices
@@ -653,12 +742,22 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     stops are STOPPED: their sigma is their column norms, whose smallest is
     an upper bound on sigma_min, and with vectors V's smallest column v
     gives ||A_i v|| = that norm, up to round-off. A stack in which no norm
-    falls below its bound gives the same bits as without one. sigma is NaN
-    on every item that is neither OK, STOPPED nor UNCONVERGED. sweeps counts
-    the sweeps an item took part in, its last one included, also when a
-    bound cut it short. The A part takes the same arithmetic with or
-    without vectors, alone or in any stack, so sigma, least, status,
-    residual and sweeps are bit-identical either way, for the same bound.
+    falls below its bound gives the same bits as without one.
+    floor, if given, is one float per item (else DimensionError), and all
+    or nothing per stack: before any sweep, `_floor_holds` runs one
+    Cholesky factorization over the stack that proves sigma_min(A_i) >
+    floor[i] for every item or declines. When it proves every item and no
+    item is refused, every item is FLOORED: no rotation runs, sweeps and
+    residual are 0, sigma is A_i's column norms as given (the smallest an
+    upper bound on sigma_min, the floor a lower one), least the column of
+    least norm, and V the identity, up to the order of sigma. Otherwise
+    the core runs exactly as without a floor.
+    sigma is NaN on every item that is neither OK, STOPPED, FLOORED nor
+    UNCONVERGED. sweeps counts the sweeps an item took part in, its last
+    one included, also when a bound cut it short. The A part takes the same
+    arithmetic with or without vectors, alone or in any stack, so sigma,
+    least, status, residual and sweeps are bit-identical either way, for the
+    same bound and floor.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or min(stack.shape) < 1 or stack.shape[1] != stack.shape[2]:
@@ -682,14 +781,27 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
         if bound.shape != (b,):
             raise DimensionError(f"expected a bound of shape ({b},), got {bound.shape}")
         bound = np.where(refused, 0.0, bound)
+    if floor is not None:
+        floor = np.asarray(floor, dtype=np.float64)
+        if floor.shape != (b,):
+            raise DimensionError(f"expected a floor of shape ({b},), got {floor.shape}")
+    floored = floor is not None and not refused.any() and _floor_holds(x[..., :n], floor)
     if vectors:
         x[..., n:] = np.eye(n)
-    x, converged, residual, sweeps, stopped = _jacobi(x, n, bound)
+    if floored:
+        converged = np.zeros(b, dtype=bool)
+        residual = np.zeros(b)
+        sweeps = np.zeros(b, dtype=np.int64)
+        stopped = False
+    else:
+        x, converged, residual, sweeps, stopped = _jacobi(x, n, bound)
     norms = np.sqrt(_squared_column_norms(x[..., :n]))
     overflow = ~np.isfinite(norms).all(axis=1)
     # later assignments win, so an item gets its first failure in check order
     status = np.where(overflow, NONFINITE_SIGMA, OK)
-    if stopped:
+    if floored:
+        status[~overflow] = FLOORED
+    elif stopped:
         status[~converged & ~overflow] = STOPPED
     else:
         status[~converged] = UNCONVERGED
@@ -710,7 +822,7 @@ def jacobi_svd(stack, vectors: bool, bound=None) -> JacobiStack:
     return JacobiStack(sigma, v, least, status, residual, sweeps)
 
 
-def svd(a, bound=None, vectors: bool = True) -> SvdResult:
+def svd(a, bound=None, vectors: bool = True, floor=None) -> SvdResult:
     """Singular values and right singular vectors of a square matrix or a stack.
 
     a is an (n, n) matrix or a (B, n, n) stack, as for numpy.linalg.svd; the
@@ -725,17 +837,23 @@ def svd(a, bound=None, vectors: bool = True) -> SvdResult:
     the first rotation step that leaves a column norm below its item's
     bound: an item it stopped is not converged, and its sigma is its column
     norms (the smallest an upper bound on sigma_min) and V their unit
-    preimages. Without a bound every returned item is converged. The first
-    item, in stack order, whose status is neither OK nor STOPPED raises
-    what svd of that item alone raises: ConvergenceError when the sweep
-    budget runs out (residual: the largest coupling left at exit), else
-    NonFiniteError. The zero matrix has sigma 0.
+    preimages. floor, of shape () or (B,), goes to jacobi_svd too: when its
+    Cholesky proves sigma_min above every item's floor, every item is
+    floored, not converged, with sigma its column norms and 0 sweeps.
+    Without a bound or a floor every returned item is converged. The first
+    item, in stack order, whose status is neither OK, STOPPED nor FLOORED
+    raises what svd of that item alone raises: ConvergenceError when the
+    sweep budget runs out (residual: the largest coupling left at exit),
+    else NonFiniteError. The zero matrix has sigma 0.
     """
     m = np.asarray(a, dtype=np.complex128)
-    if bound is not None and m.ndim == 2:
-        bound = np.asarray(bound, dtype=np.float64)[None]
-    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=vectors, bound=bound)
-    failed = (res.status != OK) & (res.status != STOPPED)
+    if m.ndim == 2:
+        if bound is not None:
+            bound = np.asarray(bound, dtype=np.float64)[None]
+        if floor is not None:
+            floor = np.asarray(floor, dtype=np.float64)[None]
+    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=vectors, bound=bound, floor=floor)
+    failed = _RAISES[res.status]
     if failed.any():
         i = int(np.argmax(failed))
         if res.status[i] != UNCONVERGED:
@@ -753,6 +871,7 @@ def svd(a, bound=None, vectors: bool = True) -> SvdResult:
         (res.status == OK).reshape(items),
         res.sweeps.reshape(items),
         res.least.reshape(m.shape[:-1]),
+        (res.status == FLOORED).reshape(items),
     )
 
 

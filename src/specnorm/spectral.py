@@ -20,6 +20,8 @@ sweeps. Anything else, a raw matrix in particular, gets B = I: the columns of
 zI - A themselves, with no Schur form run. The columns are formed from A,
 not T, so s(z) does not depend on the computed eigenvalues, and Q only
 rotates: the singular values move by at most ||zI - A||_2 ||Q*Q - I||_2.
+shifted_smallest passes a caller's per-shift bound and floor on to
+kernels.svd and reports per shift whether the floor proved it (`floored`).
 """
 
 from __future__ import annotations
@@ -249,9 +251,10 @@ class Smallest(NamedTuple):
     x: np.ndarray | None
     converged: np.ndarray
     sweeps: np.ndarray
+    floored: np.ndarray
 
 
-def shifted_smallest(a, zs, bound=None, vectors: bool = False) -> Smallest:
+def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Smallest:
     """s(z) = sigma_n(zI - A) at every z of a 1-D array, with its Jacobi's output.
 
     a is a matrix or an Analysis; zs of another dimension raises
@@ -271,27 +274,33 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False) -> Smallest:
     (else DimensionError), goes to kernels.svd per stack: once a z of a
     stack still rotating has a column norm below its bound, the stack
     stops, each z it cut short is not converged, and its s, the norm of w,
-    is an upper bound on s(z), not s(z) itself. Without a bound every z
-    converges. The first failing z, in order, raises what kernels.svd
-    raises for it.
+    is an upper bound on s(z), not s(z) itself. floor, shaped like zs
+    (else DimensionError), goes to kernels.svd per stack too: when its one
+    Cholesky proves sigma_n(zB - AB) above the floor of every z of a stack,
+    no sweep runs there and each of its z is floored, not converged, with
+    s the least column norm of zB - AB, an upper bound. Otherwise the stack
+    runs as without a floor. Without a bound or a floor every z converges.
+    The first failing z, in order, raises what kernels.svd raises for it.
     """
     b, ab = _basis(a)
     n = ab.shape[0]
     zs = np.asarray(zs, dtype=np.complex128)
     if zs.ndim != 1:
         raise DimensionError(f"expected a 1-D array of shifts, got shape {zs.shape}")
-    if bound is not None:
-        bound = np.asarray(bound, dtype=np.float64)
-        if bound.shape != zs.shape:
-            raise DimensionError(f"expected a bound of shape {zs.shape}, got {bound.shape}")
+    bound = _per_shift("bound", bound, zs)
+    floor = _per_shift("floor", floor, zs)
     s = np.empty(zs.size)
     w = np.empty((zs.size, n), dtype=np.complex128)
     x = np.empty((zs.size, n), dtype=np.complex128) if vectors else None
     converged = np.empty(zs.size, dtype=bool)
     sweeps = np.empty(zs.size, dtype=np.int64)
+    floored = np.empty(zs.size, dtype=bool)
     for sl, stack in _shifted_stacks(b, ab, zs, 2 if vectors else 1):
         # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
-        res = kernels.svd(stack, None if bound is None else bound[sl], vectors)
+        res = kernels.svd(
+            stack, None if bound is None else bound[sl], vectors,
+            None if floor is None else floor[sl],
+        )
         s[sl] = res.sigma[:, -1]
         w[sl] = res.least
         if vectors:
@@ -299,7 +308,18 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False) -> Smallest:
             x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
         converged[sl] = res.converged
         sweeps[sl] = res.sweeps
-    return Smallest(s, w, x, converged, sweeps)
+        floored[sl] = res.floored
+    return Smallest(s, w, x, converged, sweeps, floored)
+
+
+def _per_shift(name: str, values, zs: np.ndarray) -> np.ndarray | None:
+    """values as a float64 array shaped like zs, else DimensionError; None stays None."""
+    if values is None:
+        return None
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != zs.shape:
+        raise DimensionError(f"expected a {name} of shape {zs.shape}, got {values.shape}")
+    return values
 
 
 def shifted_smallest_singular(a, z):

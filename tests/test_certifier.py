@@ -95,6 +95,33 @@ class TestSelectProbes:
         ps3 = select_probes(s3)
         assert ps3[0].radius == pytest.approx(np.sqrt(2.0) / 2.0)
 
+    @pytest.mark.parametrize("p", [2, 8])
+    def test_a_probe_nearer_another_eigenvalue_is_refused(self, p, monkeypatch):
+        # the strict-nearest guard, of the scalar and the broadcast
+        # placement: a negative tie margin puts each probe three quarters
+        # of the way to the next eigenvalue, 4 apart
+        s = cluster_spectrum(4.0 * np.arange(p) + 1.0, scale=5.0, cluster_tol=1e-8)
+        monkeypatch.setattr(certifier, "TIE_MARGIN", -0.5)
+        with pytest.raises(IndeterminateError, match=r"probe \(4\+0j\) is not strictly nearest"):
+            select_probes(s)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 8, 9, 17])
+    def test_broadcast_and_scalar_placement_agree(self, p):
+        # the broadcast places every probe as the scalar loop does, bit for
+        # bit, at every size, also where the guard fails
+        rng = np.random.default_rng(p)
+        for margin in (certifier.TIE_MARGIN, -0.5):
+            for _ in range(20):
+                reps = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+                reps *= 10.0 ** rng.integers(-3, 4)
+                for angle in (0.0, 0.3, np.pi / 2.0):
+                    direction = np.exp(1j * angle)
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(certifier, "TIE_MARGIN", margin)
+                        scalar = certifier._placed_by_scalars(reps.tolist(), direction)
+                        broadcast = certifier._placed_by_broadcast(reps, direction)
+                    assert repr(broadcast) == repr(scalar)
+
     def test_angled_probes(self):
         s = cluster_spectrum([0.0, 2.0j], scale=2.0, cluster_tol=1e-8)
         ps = select_probes(s, angle=np.pi / 2.0)
@@ -368,17 +395,18 @@ class TestCertify:
         assert calls == {"svd": 1, "schur": 1}
 
     def test_unconverged_probe_message(self, monkeypatch):
-        # eps = 1e-6 is below the probes' resolution, so no column norm falls
+        # every probe passes at eps = 2e-4 here, so no column norm falls
         # below its witness bound and one sweep leaves the stack unconverged;
-        # the residual is that of the first probe's Schur-rotated columns
-        # zQ - AQ after that sweep
-        a = generate_matrix("near_normal", 6, 0, 1e-6)
+        # the commutator is above the floor's cost filter, so the stack runs
+        # its Jacobi, and the residual is that of the first probe's
+        # Schur-rotated columns zQ - AQ after that sweep
+        a = generate_matrix("near_normal", 6, 2, 2e-4)
         monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
         with pytest.raises(IndeterminateError) as exc:
             certify(a)
         assert str(exc.value) == (
             "kernel did not converge: Jacobi SVD did not converge after 1 sweeps "
-            "(off-diagonal ratio 5.490e-12)"
+            "(off-diagonal ratio 3.852e-06)"
         )
 
     def test_jordan_8_is_decided_after_one_sweep(self):
@@ -570,8 +598,8 @@ class TestWitnessVector:
         # there, certify names no witness rather than a passing one
         original = spectral.shifted_smallest
 
-        def passing(a, zs, bound=None, vectors=False):
-            res = original(a, zs, bound, vectors)
+        def passing(a, zs, bound=None, vectors=False, floor=None):
+            res = original(a, zs, bound, vectors, floor)
             return res._replace(s=np.full_like(res.s, np.inf)) if vectors else res
 
         monkeypatch.setattr(certifier, "_back_substituted_witness", lambda *args: None)
@@ -742,8 +770,9 @@ class TestSchurBound:
         # two eigenvalues within cluster_tol: d reads their mean, the bound
         # the nearer raw one
         np.diag([0.0, 5e-8, 1.0]),
-        # probes pass, the off-diagonal gate refuses
-        generate_matrix("near_normal", 8, 0, 1e-6),
+        # probes pass, the off-diagonal gate refuses, and the commutator is
+        # above the floor's cost filter
+        generate_matrix("near_normal", 6, 2, 2e-4),
     ], ids=["close_pair", "near_normal"])
     def test_bound_declines_where_it_cannot_prove(self, a, monkeypatch):
         results = stack_spy(monkeypatch)
@@ -779,3 +808,74 @@ class TestSchurBound:
                 assert s >= 0.0
                 assert Fraction(d_k) - Fraction(s) <= Fraction(tol_eq)
                 assert certifier.probe_evidence(d_k, 0.0, s, tol_eq).passed
+
+
+def floor_spy(monkeypatch):
+    """Record the floor of each spectral.shifted_smallest call and its result."""
+    calls = []
+    original = spectral.shifted_smallest
+
+    def spied(*args, floor=None, **kwargs):
+        calls.append((floor, original(*args, floor=floor, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectral, "shifted_smallest", spied)
+    return calls
+
+
+class TestFloor:
+    def test_band_matrix_is_floored_in_its_one_svd_call(self, monkeypatch):
+        # every probe passes and the off-diagonal gate refuses, as before;
+        # the floor proves the probes inside the probe stack's one svd call,
+        # before any sweep
+        a = generate_matrix("near_normal", 8, 0, 1e-6)
+        calls = count_kernel_calls(monkeypatch)
+        spied = floor_spy(monkeypatch)
+        with pytest.raises(IndeterminateError) as exc:
+            certify(a)
+        assert str(exc.value) == (
+            "probes passed but the Schur eigenbasis off-diagonal residual 3.650e-06 "
+            "exceeds its bound 4.060e-08"
+        )
+        assert calls == {"svd": 1, "schur": 1}
+        [(floor, stack)] = spied
+        assert floor is not None and stack.floored.all() and (stack.sweeps == 0).all()
+
+    def test_floor_is_sound(self, monkeypatch):
+        # every band Indeterminate of the mix is floored, and each probe's
+        # floor lies between its pass_bound and the converged s(z)
+        from test_benchmark_checks import SEED, workloads
+
+        spied = floor_spy(monkeypatch)
+        floored = 0
+        for spec in workloads.matrices("certify_normal", SEED):
+            an = spectral.analyze(generate_matrix(spec.kind, spec.n, spec.seed, spec.param))
+            spied.clear()
+            try:
+                certify(an)
+            except IndeterminateError as exc:
+                assert spec.expect == "band" and "off-diagonal" in str(exc)
+                [(floor, stack)] = spied
+                assert stack.floored.all() and (stack.sweeps == 0).all()
+                spectrum = spectrum_of(an)
+                probes = select_probes(spectrum)
+                s = spectral.shifted_smallest(an, np.array([p.z for p in probes])).s
+                tol_eq = certifier.TOL_EQ * an.scale
+                for p, f, s_z in zip(probes, floor, s.tolist()):
+                    d = abs(p.z - spectrum.clusters[p.cluster_index][0])
+                    assert certifier.pass_bound(d, tol_eq) < f < s_z
+                floored += 1
+        assert floored == 27
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cost_filter_refuses_every_nonnormal_mix_input(self, seed, monkeypatch):
+        # no certify_nonnormal input runs a Cholesky: the commutator is above
+        # sqrt(tol_eq*scale)*scale on all of them
+        from test_benchmark_checks import workloads
+
+        spied = floor_spy(monkeypatch)
+        for spec in workloads.matrices("certify_nonnormal", seed):
+            a = generate_matrix(spec.kind, spec.n, spec.seed, spec.param)
+            assert certify(a).verdict == "Nonnormal"
+        assert len(spied) == 96
+        assert all(floor is None for floor, _ in spied)

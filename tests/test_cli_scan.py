@@ -36,8 +36,8 @@ def unconverge_item(monkeypatch, item):
     """
     original = kernels.jacobi_svd
 
-    def patched(stack, vectors, bound=None):
-        res = original(stack, vectors, bound)
+    def patched(stack, vectors, bound=None, floor=None):
+        res = original(stack, vectors, bound, floor)
         if not vectors and bound is None:
             res.status[item] = kernels.UNCONVERGED
         return res
@@ -333,6 +333,48 @@ def reference_scan_json(scan: GridScan) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def reference_scan_csv(scan: GridScan) -> str:
+    """The scan CSV, one format string per sample, as the CLI once wrote it."""
+    lines = ["re,im,s,d,ratio,flag"] + [
+        f"{s.z.real!r},{s.z.imag!r},{s.s!r},{s.d!r},{s.ratio!r},{s.flag}" for s in scan.samples
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestScanCsv:
+    def test_full_grid(self):
+        scan = scan_grid(generate_matrix("ginibre", 4, 3), (-2.0, 2.0, -2.0, 2.0), 21, 21)
+        assert snio.scan_csv(scan) == reference_scan_csv(scan)
+
+    def test_failed_nan_node(self, monkeypatch):
+        unconverge_item(monkeypatch, 4)
+        scan = scan_grid(generate_matrix("ginibre", 4, 2), (-3.0, 3.0, -3.0, 3.0), 3, 3)
+        assert scan.samples[4].flag == FLAG_FAILED
+        text = snio.scan_csv(scan)
+        row = text.splitlines()[5].split(",")
+        assert row[2] == row[4] == "nan" and row[5] == FLAG_FAILED
+        assert text == reference_scan_csv(scan)
+
+    def test_samples_off_the_grid(self):
+        # a scan whose samples are not the nodes of its grid, signed zeros
+        # and infinities included, is written sample by sample
+        inf = float("inf")
+        samples = [
+            GridSample(complex(inf, -inf), inf, -inf, float("nan"), FLAG_FAILED),
+            GridSample(complex(-0.0, 1e-300), 0.0, 5e-324, 1.0, FLAG_AT_EIGENVALUE),
+            GridSample(complex(0.0, 1e-300), 0.0, 5e-324, 1.0, FLAG_AT_EIGENVALUE),
+            GridSample(complex(-0.0, 1e-300), 0.0, 5e-324, 1.0, FLAG_AT_EIGENVALUE),
+        ]
+        for nx, ny, chosen in ((2, 1, samples[:2]), (2, 2, samples), (1, 2, samples[2:])):
+            scan = GridScan(-1.0, 1.0, -1.0, 1.0, nx, ny, chosen, 1)
+            assert snio.scan_csv(scan) == reference_scan_csv(scan)
+            assert snio.scan_json(scan) == reference_scan_json(scan)
+
+    def test_no_samples(self):
+        scan = GridScan(0.0, 0.0, 0.0, 0.0, 0, 0, [], 0)
+        assert snio.scan_csv(scan) == reference_scan_csv(scan) == "re,im,s,d,ratio,flag\n"
 
 
 class TestScanJson:

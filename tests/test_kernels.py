@@ -1146,6 +1146,123 @@ class TestJacobiBound:
         assert res.sweeps[0] == 1 and res.sweeps[1] > 1
 
 
+def planted(rng, n, sigma_min, spread):
+    """U diag(sigma) V* for Haar-like U and V, sigma_min at the end and the
+    rest up to spread times it."""
+    u, _ = kernels.householder_qr(random_complex(rng, n, n))
+    v, _ = kernels.householder_qr(random_complex(rng, n, n))
+    sigma = np.sort(sigma_min * (1.0 + (spread - 1.0) * rng.random(n)))[::-1]
+    sigma[-1] = sigma_min
+    return (u * sigma) @ v.conj().T
+
+
+class TestJacobiFloor:
+    # a per-item floor, all or nothing per stack: one Cholesky before any
+    # sweep proves sigma_min above every item's floor, or the core runs as
+    # without one
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 9),
+        items=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 1.5, 10.0, 1e4]),
+        scale=st.sampled_from([1e-140, 1e-8, 1.0, 1e100]),
+        ulps=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+        below=st.sampled_from([0.0, 1e-15, 1e-13, 1e-10, 1e-6]),
+    )
+    def test_a_floor_at_or_above_sigma_min_is_never_proved(
+        self, n, items, seed, spread, scale, ulps, below
+    ):
+        # a floor a few ulps around the converged sigma_min of each item, or
+        # a relative `below` under it: the floor may prove an item only
+        # where its converged sigma_min is above the floor
+        rng = np.random.default_rng(seed)
+        stack = np.stack([planted(rng, n, scale, spread) for _ in range(items)])
+        free = kernels.jacobi_svd(stack, vectors=False)
+        assert (free.status == kernels.OK).all()
+        floor = free.sigma[:, -1] * (1.0 - below)
+        for i, k in enumerate(ulps[:items]):
+            for _ in range(abs(k)):
+                floor[i] = np.nextafter(floor[i], math.copysign(math.inf, k))
+        res = kernels.jacobi_svd(stack, vectors=False, floor=floor)
+        if (res.status == kernels.FLOORED).all():
+            assert (free.sigma[:, -1] > floor).all()
+            assert (res.sweeps == 0).all()
+        else:
+            for name in ("sigma", "least", "status", "residual", "sweeps"):
+                assert np.array_equal(getattr(res, name), getattr(free, name))
+        if below == 0.0 and max(ulps[:items]) >= 0:
+            assert not (res.status == kernels.FLOORED).any()
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_a_proved_floor_runs_no_sweep(self, vectors):
+        rng = np.random.default_rng(4)
+        stack = np.stack([planted(rng, 6, 1.0, 10.0) for _ in range(3)])
+        res = kernels.jacobi_svd(stack, vectors, floor=np.full(3, 0.999))
+        assert (res.status == kernels.FLOORED).all()
+        assert (res.sweeps == 0).all() and (res.residual == 0.0).all()
+        # sigma is the column norms as given, least the column of least norm
+        norms = np.linalg.norm(stack, axis=1)
+        assert np.allclose(res.sigma, np.sort(norms, axis=1)[:, ::-1], rtol=1e-15)
+        for m, least, sigma in zip(stack, res.least, res.sigma):
+            j = int(np.argmin(np.linalg.norm(m, axis=0)))
+            assert np.array_equal(least, m[:, j]) and sigma[-1] >= 1.0
+        if vectors:
+            assert all(np.array_equal(np.abs(v), np.abs(v).round()) for v in res.v)
+        raised = kernels.svd(stack, vectors=vectors, floor=np.full(3, 0.999))
+        assert raised.floored.all() and not raised.converged.any()
+        assert np.array_equal(raised.sigma, res.sigma)
+
+    def test_one_floor_that_fails_leaves_the_whole_stack_to_the_core(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([planted(rng, 5, 1.0, 3.0) for _ in range(3)])
+        free = kernels.jacobi_svd(stack, vectors=True)
+        res = kernels.jacobi_svd(stack, vectors=True, floor=np.array([0.5, 1.001, 0.5]))
+        for name in ("sigma", "v", "least", "status", "residual", "sweeps"):
+            assert np.array_equal(getattr(res, name), getattr(free, name))
+
+    @pytest.mark.parametrize("bad", ["nan", "underflow"])
+    def test_refused_items_are_never_floored(self, bad):
+        # a refused item's zeroed columns prove nothing, so a stack that
+        # holds one runs as without a floor, bit for bit
+        rng = np.random.default_rng(6)
+        good = planted(rng, 4, 1.0, 2.0)
+        refused = np.eye(4, dtype=complex)
+        if bad == "nan":
+            refused[1, 2] = np.nan
+        else:
+            refused *= 1e-170
+        stack = np.stack([good, refused, good])
+        floor = np.full(3, 0.5)
+        free = kernels.jacobi_svd(stack, vectors=False)
+        res = kernels.jacobi_svd(stack, vectors=False, floor=floor)
+        assert kernels.FLOORED not in res.status.tolist()
+        for name in ("sigma", "least", "status", "residual", "sweeps"):
+            assert np.array_equal(getattr(res, name), getattr(free, name), equal_nan=True)
+        assert (kernels.jacobi_svd(stack[::2], vectors=False, floor=floor[::2]).status
+                == kernels.FLOORED).all()
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, 1e200, -np.inf])
+    def test_a_floor_that_is_not_finite_or_overflows_is_declined(self, floor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kernels.jacobi_svd(np.eye(3)[None], vectors=False, floor=np.array([floor]))
+        assert res.status.tolist() == [kernels.OK]
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1), (4,)])
+    def test_rejects_a_floor_of_the_wrong_shape(self, shape):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)])
+        with pytest.raises(DimensionError, match="floor"):
+            kernels.jacobi_svd(stack, vectors=False, floor=np.zeros(shape))
+        with pytest.raises(DimensionError, match="floor"):
+            kernels.svd(stack, floor=np.zeros(shape))
+
+    def test_single_matrix_takes_a_scalar_floor(self):
+        res = kernels.svd(2.0 * np.eye(3), floor=1.5)
+        assert res.floored.shape == () and res.floored and res.sweeps == 0
+        assert not kernels.svd(2.0 * np.eye(3), floor=2.5).floored
+
+
 class TestRankWithTol:
     def test_identity(self):
         assert kernels.rank_with_tol(np.eye(3), 0.5) == 3
