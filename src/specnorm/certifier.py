@@ -119,54 +119,6 @@ class CertifyConfig:
     probe_angle: float = 0.0
 
 
-# from this many distinct eigenvalues on, select_probes forms its moduli in
-# numpy broadcasts; below it, as Python scalars, whose few calls cost less
-# than the broadcasts' fixed numpy overhead
-BROADCAST_FROM = 8
-
-
-def _placed_by_scalars(reps: list[complex], direction: complex):
-    """select_probes's (zs, radii, first z that fails the guard or None), one _cabs per modulus."""
-    p = len(reps)
-    # each representative's distance to its nearest other one, from one
-    # modulus per pair: |a - b| and |b - a| are the same bits
-    nearest = [math.inf] * p
-    for k in range(p):
-        for j in range(k + 1, p):
-            delta = _cabs(reps[j] - reps[k])
-            if delta < nearest[k]:
-                nearest[k] = delta
-            if delta < nearest[j]:
-                nearest[j] = delta
-    radii = [(1.0 - TIE_MARGIN) * m / 2.0 for m in nearest]
-    zs = [complex(lam + r * direction) for lam, r in zip(reps, radii)]
-    for k, z in enumerate(zs):
-        if _cabs(z - reps[k]) >= min([_cabs(z - reps[j]) for j in range(p) if j != k]):
-            return zs, radii, z
-    return zs, radii, None
-
-
-def _placed_by_broadcast(reps: np.ndarray, direction: complex):
-    """`_placed_by_scalars`'s result, bit for bit, from two (p, p) broadcasts of moduli.
-
-    np.hypot is the C library's hypot, as `_cabs` is; np.abs on a complex
-    array of more than a few entries takes a vectorized loop that can round
-    apart from it.
-    """
-    diff = reps[:, None] - reps
-    apart = np.hypot(diff.real, diff.imag)
-    np.fill_diagonal(apart, np.inf)
-    radii = (1.0 - TIE_MARGIN) * apart.min(axis=1) / 2.0
-    zs = reps + radii * direction
-    diff = zs[:, None] - reps
-    dists = np.hypot(diff.real, diff.imag)
-    own = dists.diagonal().copy()
-    np.fill_diagonal(dists, np.inf)
-    tied = own >= dists.min(axis=1)
-    first = complex(zs[tied.argmax()]) if tied.any() else None
-    return zs.tolist(), radii.tolist(), first
-
-
 def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     """One probe per distinct eigenvalue, strictly nearest to its own cluster.
 
@@ -188,21 +140,31 @@ def select_probes(spectrum: Spectrum, angle: float = 0.0) -> list[Probe]:
     guards its condition.
     """
     reps = [lam for lam, _ in spectrum.clusters]
+    p = len(reps)
     direction = np.exp(1j * angle)
-    if len(reps) == 1:
-        radius = spectrum.scale / 2.0
-        return [Probe(z=complex(reps[0] + radius * direction), cluster_index=0, radius=radius)]
-    if len(reps) < BROADCAST_FROM:
-        zs, radii, tied = _placed_by_scalars(reps, direction)
-    else:
-        zs, radii, tied = _placed_by_broadcast(np.array(reps), direction)
-    # the strict-nearest sanity check; guaranteed by construction
-    if tied is not None:
-        raise IndeterminateError(f"probe {tied} is not strictly nearest to its eigenvalue")
-    return [
-        Probe(z=z, cluster_index=k, radius=radius)
-        for k, (z, radius) in enumerate(zip(zs, radii))
-    ]
+    # each representative's distance to its nearest other one, from one
+    # modulus per pair: |a - b| and |b - a| are the same bits
+    nearest = [math.inf] * p
+    for k in range(p):
+        for j in range(k + 1, p):
+            delta = _cabs(reps[j] - reps[k])
+            if delta < nearest[k]:
+                nearest[k] = delta
+            if delta < nearest[j]:
+                nearest[j] = delta
+    probes = []
+    for k in range(p):
+        if p == 1:
+            radius = spectrum.scale / 2.0
+        else:
+            radius = (1.0 - TIE_MARGIN) * nearest[k] / 2.0
+        z = complex(reps[k] + radius * direction)
+        # strict-nearest sanity check; guaranteed by construction
+        others = [_cabs(z - reps[j]) for j in range(p) if j != k]
+        if others and _cabs(z - reps[k]) >= min(others):
+            raise IndeterminateError(f"probe {z} is not strictly nearest to its eigenvalue")
+        probes.append(Probe(z=z, cluster_index=k, radius=float(radius)))
+    return probes
 
 
 def probe_evidence(
@@ -679,12 +641,12 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             ):
                 floor = _floors(an, zs, ds, tol_eq)
             stack = spectral.shifted_smallest(an, np.array(zs), np.array(bound), floor=floor)
+            floored = [False] * len(zs) if floor is None else stack.floored.tolist()
             evidence = [
                 probe_evidence(z, lam, pass_bound(d, tol_eq), tol_eq, source="floor")
-                if floored else probe_evidence(z, lam, s_k, tol_eq, ok)
-                for z, lam, d, s_k, ok, floored in zip(
-                    zs, lams, ds, stack.s.tolist(), stack.converged.tolist(),
-                    stack.floored.tolist(),
+                if floored_k else probe_evidence(z, lam, s_k, tol_eq, ok)
+                for z, lam, d, s_k, ok, floored_k in zip(
+                    zs, lams, ds, stack.s.tolist(), stack.converged.tolist(), floored
                 )
             ]
             sweeps = max(stack.sweeps.tolist())

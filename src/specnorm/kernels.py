@@ -379,10 +379,11 @@ class SvdResult:
     sigma[i]. converged is False, per item, where a bound stopped the sweeps
     first: sigma is then the column norms of A V, not yet orthogonal, and
     sweeps counts the sweeps run, the one cut short included. least is the
-    column of A V of least norm, sigma[..., -1], with or without V. floored
-    is True, per item, where a Cholesky proved sigma_min above the item's
-    floor before any sweep: converged is then False, sweeps 0, V the
-    identity up to the order of sigma, and sigma A's own column norms.
+    column of A V of least norm, sigma[..., -1], with or without V. floored,
+    given a floor (else False), is True, per item, where a Cholesky proved
+    sigma_min above the item's floor before any sweep: converged is then
+    False, sweeps 0, V the identity up to the order of sigma, and sigma A's
+    own column norms.
     """
 
     sigma: np.ndarray
@@ -871,7 +872,7 @@ def svd(a, bound=None, vectors: bool = True, floor=None) -> SvdResult:
         (res.status == OK).reshape(items),
         res.sweeps.reshape(items),
         res.least.reshape(m.shape[:-1]),
-        (res.status == FLOORED).reshape(items),
+        False if floor is None else (res.status == FLOORED).reshape(items),
     )
 
 

@@ -251,7 +251,7 @@ class Smallest(NamedTuple):
     x: np.ndarray | None
     converged: np.ndarray
     sweeps: np.ndarray
-    floored: np.ndarray
+    floored: np.ndarray | None
 
 
 def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Smallest:
@@ -279,7 +279,8 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
     Cholesky proves sigma_n(zB - AB) above the floor of every z of a stack,
     no sweep runs there and each of its z is floored, not converged, with
     s the least column norm of zB - AB, an upper bound. Otherwise the stack
-    runs as without a floor. Without a bound or a floor every z converges.
+    runs as without a floor. floored is None without a floor. Without a
+    bound or a floor every z converges.
     The first failing z, in order, raises what kernels.svd raises for it.
     """
     b, ab = _basis(a)
@@ -294,7 +295,7 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
     x = np.empty((zs.size, n), dtype=np.complex128) if vectors else None
     converged = np.empty(zs.size, dtype=bool)
     sweeps = np.empty(zs.size, dtype=np.int64)
-    floored = np.empty(zs.size, dtype=bool)
+    floored = None if floor is None else np.empty(zs.size, dtype=bool)
     for sl, stack in _shifted_stacks(b, ab, zs, 2 if vectors else 1):
         # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
         res = kernels.svd(
@@ -308,7 +309,8 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
             x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
         converged[sl] = res.converged
         sweeps[sl] = res.sweeps
-        floored[sl] = res.floored
+        if floor is not None:
+            floored[sl] = res.floored
     return Smallest(s, w, x, converged, sweeps, floored)
 
 

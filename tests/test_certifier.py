@@ -95,32 +95,13 @@ class TestSelectProbes:
         ps3 = select_probes(s3)
         assert ps3[0].radius == pytest.approx(np.sqrt(2.0) / 2.0)
 
-    @pytest.mark.parametrize("p", [2, 8])
-    def test_a_probe_nearer_another_eigenvalue_is_refused(self, p, monkeypatch):
-        # the strict-nearest guard, of the scalar and the broadcast
-        # placement: a negative tie margin puts each probe three quarters
-        # of the way to the next eigenvalue, 4 apart
-        s = cluster_spectrum(4.0 * np.arange(p) + 1.0, scale=5.0, cluster_tol=1e-8)
+    def test_a_probe_nearer_another_eigenvalue_is_refused(self, monkeypatch):
+        # the strict-nearest guard: a negative tie margin puts each probe
+        # three quarters of the way to the next eigenvalue, 4 apart
+        s = cluster_spectrum([1.0, 5.0, 9.0], scale=10.0, cluster_tol=1e-8)
         monkeypatch.setattr(certifier, "TIE_MARGIN", -0.5)
         with pytest.raises(IndeterminateError, match=r"probe \(4\+0j\) is not strictly nearest"):
             select_probes(s)
-
-    @pytest.mark.parametrize("p", [2, 3, 7, 8, 9, 17])
-    def test_broadcast_and_scalar_placement_agree(self, p):
-        # the broadcast places every probe as the scalar loop does, bit for
-        # bit, at every size, also where the guard fails
-        rng = np.random.default_rng(p)
-        for margin in (certifier.TIE_MARGIN, -0.5):
-            for _ in range(20):
-                reps = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-                reps *= 10.0 ** rng.integers(-3, 4)
-                for angle in (0.0, 0.3, np.pi / 2.0):
-                    direction = np.exp(1j * angle)
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(certifier, "TIE_MARGIN", margin)
-                        scalar = certifier._placed_by_scalars(reps.tolist(), direction)
-                        broadcast = certifier._placed_by_broadcast(reps, direction)
-                    assert repr(broadcast) == repr(scalar)
 
     def test_angled_probes(self):
         s = cluster_spectrum([0.0, 2.0j], scale=2.0, cluster_tol=1e-8)
