@@ -26,7 +26,11 @@ at most sqrt(tol_eq*scale)*scale, the probe stack carries a floor per probe
 factorization over the stack that proves sigma_n(zQ - AQ) above every
 floor, so every probe passes with no Jacobi sweep, or declines, and the
 probe Jacobi runs as without floors. The two Normal gates then decide
-between Normal and Indeterminate.
+between Normal and Indeterminate. The probe stack reports kernels.svd's
+status per probe and raises for none: certify hands the statuses to
+kernels.raise_for_status, so a refused or unconverged probe raises, and
+then reads FLOORED as a probe the floor passed, OK as a converged probe and
+STOPPED as one a witness bound cut short.
 
 The structural checks (semisimplicity, left eigenvectors, orthogonal
 eigenspaces, an eigenbasis assembled from kernel vectors) are library
@@ -346,7 +350,7 @@ def _back_substituted_witness(
     With B = Q, w = (zQ - AQ)v for a unit v, and zQ - AQ = Q(zI - T) up to
     the Schur residual, so one back substitution v = (zI - T)^{-1} Q*w over
     T's entries as Python complex, a backward-stable solve, gives v up to
-    round-off; x = Qv/||Qv||, with v's phase pinned as jacobi_svd pins V's
+    round-off; x = Qv/||Qv||, with v's phase pinned as kernels.svd pins V's
     columns (`_pin_phases`'s rule).
     x is kept only when `_witness_residual` is below the probe's witness
     bound. None for B = I, a zero pivot z - t_ii, a v whose norm is zero or
@@ -391,8 +395,9 @@ def _witness(
 
     x comes from `_back_substituted_witness` and e stands as it is. Where
     that gives None, the probe runs alone through
-    spectral.shifted_smallest with V and its bound, and s, converged
-    and x all come from that one run, so ||(zI - A)x|| is again its s. That
+    spectral.shifted_smallest with V and its bound, a failing status raises
+    through kernels.raise_for_status, and s, converged (status OK) and x
+    all come from that one run, so ||(zI - A)x|| is again its s. That
     run continues past the rotation step at which the stack stopped whenever
     another probe stopped it; should it then pass, certify raises
     IndeterminateError rather than name a witness that is not one.
@@ -401,7 +406,8 @@ def _witness(
     if x is not None:
         return e, x
     alone = spectral.shifted_smallest(an, np.array([e.z]), np.array([bound]), vectors=True)
-    e = probe_evidence(e.z, e.lam, alone.s[0], tol_eq, alone.converged[0])
+    kernels.raise_for_status(alone.status, alone.residual)
+    e = probe_evidence(e.z, e.lam, alone.s[0], tol_eq, alone.status[0] == kernels.OK)
     if e.passed:
         raise IndeterminateError(f"probe {e.z} fails in the probe stack but passes alone")
     return e, alone.x[0]
@@ -641,12 +647,13 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             ):
                 floor = _floors(an, zs, ds, tol_eq)
             stack = spectral.shifted_smallest(an, np.array(zs), np.array(bound), floor=floor)
-            floored = [False] * len(zs) if floor is None else stack.floored.tolist()
+            kernels.raise_for_status(stack.status, stack.residual)
             evidence = [
                 probe_evidence(z, lam, pass_bound(d, tol_eq), tol_eq, source="floor")
-                if floored_k else probe_evidence(z, lam, s_k, tol_eq, ok)
-                for z, lam, d, s_k, ok, floored_k in zip(
-                    zs, lams, ds, stack.s.tolist(), stack.converged.tolist(), floored
+                if status == kernels.FLOORED
+                else probe_evidence(z, lam, s_k, tol_eq, status == kernels.OK)
+                for z, lam, d, s_k, status in zip(
+                    zs, lams, ds, stack.s.tolist(), stack.status.tolist()
                 )
             ]
             sweeps = max(stack.sweeps.tolist())

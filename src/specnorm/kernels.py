@@ -25,7 +25,7 @@ live item. A step costs a fixed number of numpy calls however many pairs
 and items it holds: pairs that do not rotate get the exact identity through
 arithmetic masks, not a branch, and the coupling's phase rides on the one
 complex coefficient of the rotation (the columns differ from a real-sine
-rotation's only by unit phases, which `jacobi_svd`'s phase pinning on V
+rotation's only by unit phases, which `svd`'s phase pinning on V
 absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
 columns. A per-item bound stops the core early: after the first rotation
@@ -45,19 +45,19 @@ sigma_min is above its floor, every item is FLOORED and no rotation runs;
 otherwise the core runs exactly as without a floor. A caller that only needs
 to know that sigma_min is above a threshold (the certifier's passing
 probes) then has its answer.
-`jacobi_svd`, the core's one entry point, runs it once on the columns of
-every A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along
-(no U: nothing reads it), and reports a status per item instead of raising;
-with or without V it returns each item's rotated column of least norm, the
-image A_i v of the v that sigma_min's column of V would hold up to a unit
-phase. `svd` is its raising wrapper, with V or values only. The certifier
-evaluates all its probes as one values-only `svd` stack (through
-`spectral.shifted_smallest`), with a bound and, near normality, a floor per
-probe, and recovers its witness vector from that least column;
-`scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of
-one matrix as values-only stacks too (through
-`spectral.shifted_sigma_min_batch`). Every stack is built in `spectral`
-as zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
+`svd`, the core's one entry point, runs it once on the columns of every
+A_i of a (B, n, n) stack, or of every [A_i; I] so that V rides along (no U:
+nothing reads it), and reports a status per item; with or without V it
+returns each item's rotated column of least norm, the image A_i v of the v
+that sigma_min's column of V would hold up to a unit phase. A stack never
+raises: its caller reads the statuses, or hands them to `raise_for_status`.
+One (n, n) matrix raises for its status there and then. The certifier
+evaluates all its probes as one values-only stack, with a bound and, near
+normality, a floor per probe, and recovers its witness vector from that
+least column; `scan.scan_grid` and `scan.check_corollary` evaluate all
+their shifts of one matrix as values-only stacks too. All of them go
+through `spectral.shifted_smallest`, which builds every stack as
+zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
 ||Q*Q - I||_F meets certify's bound TOL_CERT*n, which makes the columns
 nearly orthogonal for a normal or near-normal A and moves the singular
 values by at most ||zI - A||_2 ||Q*Q - I||_2, and B = I otherwise. The
@@ -65,8 +65,8 @@ kernels see plain matrices either way. A singular value that comes out
 non-finite (entries outside about 1e-145..1e154) is never reported as a
 result, and neither is one of a matrix with a nonzero column of norm below
 sqrt(TINY), about 1.5e-154, where its squared norm underflows (below about
-1e-161 it reads 0): `jacobi_svd` flags the item with NaN, and `svd` raises
-NonFiniteError for it.
+1e-161 it reads 0): `svd` gives the item a failing status and sigma NaN,
+and `raise_for_status` raises NonFiniteError for it.
 numpy is used for array arithmetic only; no module of the package calls
 numpy.linalg.
 """
@@ -372,26 +372,27 @@ def schur(a) -> SchurResult:
 
 @dataclass
 class SvdResult:
-    """Singular values and right singular vectors of a square matrix A.
+    """What svd returns, per item of a stack or for one matrix.
 
     sigma is sorted non-increasing and V is unitary (None when only values
-    were asked for); column i of A V is orthogonal to the others and has norm
-    sigma[i]. converged is False, per item, where a bound stopped the sweeps
-    first: sigma is then the column norms of A V, not yet orthogonal, and
-    sweeps counts the sweeps run, the one cut short included. least is the
-    column of A V of least norm, sigma[..., -1], with or without V. floored,
-    given a floor (else False), is True, per item, where a Cholesky proved
-    sigma_min above the item's floor before any sweep: converged is then
-    False, sweeps 0, V the identity up to the order of sigma, and sigma A's
-    own column norms.
+    were asked for); where the status is OK, column i of A V is orthogonal
+    to the others and has norm sigma[i]. least is the column of A V of least
+    norm, sigma[..., -1], with or without V. status is OK, STOPPED (a bound
+    stopped the sweeps first: sigma is the column norms of A V, not yet
+    orthogonal), FLOORED (a Cholesky proved sigma_min above the item's floor
+    before any sweep: sweeps 0, V the identity up to the order of sigma,
+    and sigma A's own column norms) or, in a stack only, one of the failures
+    `raise_for_status` raises for. residual is the largest coupling left in
+    an UNCONVERGED item, else 0, and sweeps counts the sweeps run, the one
+    cut short included.
     """
 
     sigma: np.ndarray
     v: np.ndarray | None
-    converged: np.ndarray | bool = True
-    sweeps: np.ndarray | None = None
-    least: np.ndarray | None = None
-    floored: np.ndarray | bool = False
+    least: np.ndarray
+    status: np.ndarray
+    residual: np.ndarray
+    sweeps: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -437,10 +438,9 @@ def _jacobi(
     """One-sided Jacobi over a (B, n, L) stack of column sets.
 
     x[i, j] is column j of item i. Rotations orthogonalize the first `rows`
-    entries of the columns; the remaining entries ride along (in
-    `jacobi_svd` with vectors they are the rows of V). x must be
-    C-contiguous and is rotated in place: `jacobi_svd`, its one caller,
-    passes its own fresh array.
+    entries of the columns; the remaining entries ride along (in `svd` with
+    vectors they are the rows of V). x must be C-contiguous and is rotated
+    in place: `svd`, its one caller, passes its own fresh array.
     Each sweep runs the steps of `_round_robin(n)`, and each step rotates
     all its disjoint pairs in all live items at once, from fresh inner
     products (`np.vecdot`, which conjugates its first argument).
@@ -462,8 +462,8 @@ def _jacobi(
     With a bound (one float per item), the core stops after the first
     rotation step that leaves a live item with a column whose norm (over the
     first `rows` entries, as `_squared_column_norms` and a square root give
-    it, which is how `jacobi_svd` reads sigma) is below its bound: the full
-    test. Each column is the image of a unit vector, so its norm is an upper
+    it, which is how `svd` reads sigma) is below its bound: the full test.
+    Each column is the image of a unit vector, so its norm is an upper
     bound on the item's smallest singular value. The test only reads the
     columns, so a stack in which no norm falls below its bound runs exactly
     as without one. Converged items are final and are not tested, and an
@@ -524,7 +524,7 @@ def _jacobi(
     still rotating when MAX_JACOBI_SWEEPS ran out, the largest coupling
     |<w_p, w_q>|/(||w_p|| ||w_q||) over the first `rows` entries left in its
     returned columns. Entries outside about 1e-145..1e154 give non-finite
-    columns; `jacobi_svd` flags those.
+    columns; `svd` flags those.
     """
     b, n, _ = x.shape
     ctol = 8.0 * EPS * rows
@@ -686,12 +686,12 @@ def _floor_holds(w: np.ndarray, floor: np.ndarray) -> bool:
     return True
 
 
-# per-item status of jacobi_svd: the failures in the order it checks an
-# item, then STOPPED, an item whose sweeps a bound cut short, and FLOORED,
-# an item whose floor a Cholesky proved before any sweep
+# per-item status of svd: the failures in the order it checks an item, then
+# STOPPED, an item whose sweeps a bound cut short, and FLOORED, an item whose
+# floor a Cholesky proved before any sweep
 OK, NONFINITE_ENTRY, UNDERFLOW, UNCONVERGED, NONFINITE_SIGMA, STOPPED, FLOORED = range(7)
 
-# what svd raises for an item that jacobi_svd refuses or finds non-finite
+# what raise_for_status raises for an item that svd refuses or finds non-finite
 _NONFINITE = {
     NONFINITE_ENTRY: "matrix contains NaN or Inf entries",
     UNDERFLOW: "Jacobi SVD refuses a matrix with a nonzero column of norm below "
@@ -699,68 +699,89 @@ _NONFINITE = {
     NONFINITE_SIGMA: "Jacobi SVD produced a non-finite singular value "
     "(entries outside about 1e-145..1e154)",
 }
-# per status, whether svd raises for it: all but OK, STOPPED and FLOORED
-_RAISES = np.array([status not in (OK, STOPPED, FLOORED) for status in range(FLOORED + 1)])
 
 
-@dataclass
-class JacobiStack:
-    """Per item of a stack: sigma (B, n), V (B, n, n) or None, the column of
-    A_i V_i of least norm (B, n), and status, residual and the sweeps it took
-    part in (B,)."""
+def raise_for_status(status, residual) -> None:
+    """Raise for the first item, in order, whose status is not OK, STOPPED or FLOORED.
 
-    sigma: np.ndarray
-    v: np.ndarray | None
-    least: np.ndarray
-    status: np.ndarray
-    residual: np.ndarray
-    sweeps: np.ndarray
+    status and residual are svd's, of one matrix or of a stack, or a
+    caller's selection of them in the same order. UNCONVERGED raises
+    ConvergenceError (iterations MAX_JACOBI_SWEEPS, residual the item's:
+    the largest coupling left at exit); a refused item or a non-finite
+    sigma raises NonFiniteError.
+    """
+    for st, res in zip(np.ravel(status).tolist(), np.ravel(residual).tolist()):
+        if st == UNCONVERGED:
+            raise ConvergenceError(
+                f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
+                f"(off-diagonal ratio {res:.3e})",
+                iterations=MAX_JACOBI_SWEEPS,
+                residual=res,
+            )
+        if st in _NONFINITE:
+            raise NonFiniteError(_NONFINITE[st])
 
 
-def jacobi_svd(stack, vectors: bool, bound=None, floor=None) -> JacobiStack:
-    """Singular values, and V if vectors, of every matrix in a (B, n, n) stack.
+def svd(a, bound=None, vectors: bool = True, floor=None) -> SvdResult:
+    """Singular values, and V if vectors, of a square matrix or of every matrix in a stack.
 
-    The one caller of `_jacobi`. A stack that is not B >= 1 square matrices
-    of n >= 1 raises DimensionError; no item raises. An item with a NaN or
-    Inf entry (status NONFINITE_ENTRY), or with a nonzero column whose
-    squared norm underflows below TINY (UNDERFLOW; sigma_min is at most that
-    column's norm, and the core, which works on squared norms, would return
-    it wrong and converged), is refused: its columns are zeroed, so the core
-    rotates nothing in it. One `_jacobi` call rotates the columns of every
-    A_i, or of every [A_i; I] so that V's rows ride along; sigma is the
-    column norms sorted non-increasing, and `_pin_phases` pins V's columns.
-    least is, per item, the rotated column A_i v whose norm is sigma[:, -1],
+    a is an (n, n) matrix or a (B, n, n) stack of B >= 1, as for
+    numpy.linalg.svd, with n >= 1; any other shape raises DimensionError.
+    A stack's result holds sigma (B, n), V (B, n, n) or None, least (B, n),
+    and status, residual and sweeps (B,), and no item raises; one matrix's
+    holds the same without the leading B, and it raises what
+    `raise_for_status` raises for its status. Accurate for small singular
+    values, which is what the shifted-matrix consumers need.
+    The one caller of `_jacobi`. An item with a NaN or Inf entry (status
+    NONFINITE_ENTRY), or with a nonzero column whose squared norm underflows
+    below TINY (UNDERFLOW; sigma_min is at most that column's norm, and the
+    core, which works on squared norms, would return it wrong and
+    converged), is refused: its columns are zeroed, so the core rotates
+    nothing in it. One `_jacobi` call rotates the columns of every A_i, or
+    of every [A_i; I] so that V's rows ride along; sigma is the column norms
+    sorted non-increasing, and `_pin_phases` pins V's columns. Without
+    vectors the core runs on the columns of A_i alone and V is None. least
+    is, per item, the rotated column A_i v whose norm is sigma[..., -1],
     gathered with or without vectors; with them, v is V's last column up to
     its pinned phase.
     An item still rotating after MAX_JACOBI_SWEEPS is UNCONVERGED (residual:
     the largest coupling left, else 0), and one with a non-finite sigma
     (entries outside about 1e-145..1e154) NONFINITE_SIGMA.
-    bound, if given, is one float per item (else DimensionError): the core
-    stops after the first rotation step that leaves a live item with a
-    column norm below its bound (see `_jacobi`). A refused item's zeroed
-    columns read norm 0, which says nothing about it, so its bound is taken
-    as 0, below which no norm falls. The items still rotating when the core
-    stops are STOPPED: their sigma is their column norms, whose smallest is
-    an upper bound on sigma_min, and with vectors V's smallest column v
-    gives ||A_i v|| = that norm, up to round-off. A stack in which no norm
-    falls below its bound gives the same bits as without one.
-    floor, if given, is one float per item (else DimensionError), and all
-    or nothing per stack: before any sweep, `_floor_holds` runs one
-    Cholesky factorization over the stack that proves sigma_min(A_i) >
-    floor[i] for every item or declines. When it proves every item and no
-    item is refused, every item is FLOORED: no rotation runs, sweeps and
-    residual are 0, sigma is A_i's column norms as given (the smallest an
-    upper bound on sigma_min, the floor a lower one), least the column of
-    least norm, and V the identity, up to the order of sigma. Otherwise
-    the core runs exactly as without a floor.
-    sigma is NaN on every item that is neither OK, STOPPED, FLOORED nor
-    UNCONVERGED. sweeps counts the sweeps an item took part in, its last
-    one included, also when a bound cut it short. The A part takes the same
-    arithmetic with or without vectors, alone or in any stack, so sigma,
-    least, status, residual and sweeps are bit-identical either way, for the
-    same bound and floor.
+    bound, if given, is one float per item, of shape () for one matrix
+    (else DimensionError): the core stops after the first rotation step
+    that leaves a live item with a column norm below its bound (see
+    `_jacobi`). A refused item's zeroed columns read norm 0, which says
+    nothing about it, so its bound is taken as 0, below which no norm
+    falls. The items still rotating when the core stops are STOPPED: their
+    sigma is their column norms, whose smallest is an upper bound on
+    sigma_min, and with vectors V's smallest column v gives ||A_i v|| = that
+    norm, up to round-off. A stack in which no norm falls below its bound
+    gives the same bits as without one.
+    floor, if given, is one float per item, shaped as bound (else
+    DimensionError), and all or nothing per stack: before any sweep,
+    `_floor_holds` runs one Cholesky factorization over the stack that
+    proves sigma_min(A_i) > floor[i] for every item or declines. When it
+    proves every item and no item is refused, every item is FLOORED: no
+    rotation runs, sweeps and residual are 0, sigma is A_i's column norms as
+    given (the smallest an upper bound on sigma_min, the floor a lower one),
+    least the column of least norm, and V the identity, up to the order of
+    sigma. Otherwise the core runs exactly as without a floor.
+    Without a bound or a floor every item that is not refused or non-finite
+    is OK or UNCONVERGED. sigma is NaN on every item that is neither OK,
+    STOPPED, FLOORED nor UNCONVERGED. sweeps counts the sweeps an item took
+    part in, its last one included, also when a bound cut it short. The A
+    part takes the same arithmetic with or without vectors, alone or in any
+    stack, so sigma, least, status, residual and sweeps are bit-identical
+    either way, for the same bound and floor. The zero matrix has sigma 0.
     """
-    stack = np.asarray(stack, dtype=np.complex128)
+    stack = np.asarray(a, dtype=np.complex128)
+    one = stack.ndim == 2
+    if one:
+        stack = stack[None]
+        if bound is not None:
+            bound = np.asarray(bound, dtype=np.float64)[None]
+        if floor is not None:
+            floor = np.asarray(floor, dtype=np.float64)[None]
     if stack.ndim != 3 or min(stack.shape) < 1 or stack.shape[1] != stack.shape[2]:
         raise DimensionError(
             f"expected a (B, n, n) stack of square matrices with B, n >= 1, got {stack.shape}"
@@ -820,60 +841,12 @@ def jacobi_svd(stack, vectors: bool, bound=None, floor=None) -> JacobiStack:
         v = _pin_phases(cols).transpose(0, 2, 1)
     sigma = norms[items, order]
     least = x[items[:, 0], order[:, -1], :n]
-    return JacobiStack(sigma, v, least, status, residual, sweeps)
-
-
-def svd(a, bound=None, vectors: bool = True, floor=None) -> SvdResult:
-    """Singular values and right singular vectors of a square matrix or a stack.
-
-    a is an (n, n) matrix or a (B, n, n) stack, as for numpy.linalg.svd; the
-    result is sigma (n,), V (n, n) and the least column (n,), or sigma
-    (B, n), V (B, n, n) and least (B, n), of one jacobi_svd call, with
-    converged and sweeps of shape () or (B,). Without vectors the call runs
-    on the columns of A alone and V is None; sigma, least, converged and
-    sweeps are the same bits either way. Accurate for small singular values,
-    which is what the shifted-matrix consumers need. Any other shape raises
-    DimensionError.
-    bound, of shape () or (B,), goes to jacobi_svd, whose core stops after
-    the first rotation step that leaves a column norm below its item's
-    bound: an item it stopped is not converged, and its sigma is its column
-    norms (the smallest an upper bound on sigma_min) and V their unit
-    preimages. floor, of shape () or (B,), goes to jacobi_svd too: when its
-    Cholesky proves sigma_min above every item's floor, every item is
-    floored, not converged, with sigma its column norms and 0 sweeps.
-    Without a bound or a floor every returned item is converged. The first
-    item, in stack order, whose status is neither OK, STOPPED nor FLOORED
-    raises what svd of that item alone raises: ConvergenceError when the
-    sweep budget runs out (residual: the largest coupling left at exit),
-    else NonFiniteError. The zero matrix has sigma 0.
-    """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim == 2:
-        if bound is not None:
-            bound = np.asarray(bound, dtype=np.float64)[None]
-        if floor is not None:
-            floor = np.asarray(floor, dtype=np.float64)[None]
-    res = jacobi_svd(m[None] if m.ndim == 2 else m, vectors=vectors, bound=bound, floor=floor)
-    failed = _RAISES[res.status]
-    if failed.any():
-        i = int(np.argmax(failed))
-        if res.status[i] != UNCONVERGED:
-            raise NonFiniteError(_NONFINITE[res.status[i]])
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge after {MAX_JACOBI_SWEEPS} sweeps "
-            f"(off-diagonal ratio {res.residual[i]:.3e})",
-            iterations=MAX_JACOBI_SWEEPS,
-            residual=float(res.residual[i]),
+    if one:
+        raise_for_status(status, residual)
+        return SvdResult(
+            sigma[0], None if v is None else v[0], least[0], status[0], residual[0], sweeps[0]
         )
-    items = m.shape[:-2]
-    return SvdResult(
-        res.sigma.reshape(m.shape[:-1]),
-        None if res.v is None else res.v.reshape(m.shape),
-        (res.status == OK).reshape(items),
-        res.sweeps.reshape(items),
-        res.least.reshape(m.shape[:-1]),
-        False if floor is None else (res.status == FLOORED).reshape(items),
-    )
+    return SvdResult(sigma, v, least, status, residual, sweeps)
 
 
 def rank_with_tol(a, tol: float) -> int:

@@ -6,22 +6,26 @@ holds for every square matrix, with equality everywhere exactly when the
 matrix is normal.
 
 Every stack of shifted matrices that goes to the Jacobi kernel's one entry
-point, kernels.jacobi_svd (directly, from shifted_sigma_min_batch, or
-through kernels.svd with V or values only, from shifted_smallest), is built
-here, by `_shifted_stacks`, as the columns zB - AB = (zI - A)B for a basis B
-with AB formed once per matrix; the kernel returns each item's column
-(zB - AB)v of least norm, and with V a minimizing right singular vector v
-maps back to x = Bv for zI - A. B is the Schur factor Q when the
-caller passes an Analysis whose Q meets ||Q*Q - I||_F <= TOL_CERT*n (the
-bound of certify's Normal gate, which reads the same residual). Since
-(zI - A)Q = Q(zI - T) and T is nearly diagonal for a normal or near-normal
-matrix, those columns start out nearly orthogonal and the Jacobi needs few
-sweeps. Anything else, a raw matrix in particular, gets B = I: the columns of
-zI - A themselves, with no Schur form run. The columns are formed from A,
-not T, so s(z) does not depend on the computed eigenvalues, and Q only
-rotates: the singular values move by at most ||zI - A||_2 ||Q*Q - I||_2.
+point, kernels.svd, with V or values only, comes from shifted_smallest, the
+one function that evaluates s(z) at a set of shifts, for certify, gap and
+both scans. `_shifted_stacks` builds each as the columns
+zB - AB = (zI - A)B for a basis B with AB formed once per matrix; the kernel
+returns each item's column (zB - AB)v of least norm, and with V a
+minimizing right singular vector v maps back to x = Bv for zI - A. B is the
+Schur factor Q when the caller passes an Analysis whose Q meets
+||Q*Q - I||_F <= TOL_CERT*n (the bound of certify's Normal gate, which
+reads the same residual). Since (zI - A)Q = Q(zI - T) and T is nearly
+diagonal for a normal or near-normal matrix, those columns start out nearly
+orthogonal and the Jacobi needs few sweeps. Anything else, a raw matrix in
+particular, gets B = I: the columns of zI - A themselves, with no Schur
+form run. The columns are formed from A, not T, so s(z) does not depend on
+the computed eigenvalues, and Q only rotates: the singular values move by
+at most ||zI - A||_2 ||Q*Q - I||_2.
 shifted_smallest passes a caller's per-shift bound and floor on to
-kernels.svd and reports per shift whether the floor proved it (`floored`).
+kernels.svd and reports kernels.svd's status per shift; it raises for none.
+Each caller decides what a status means: certify and
+shifted_smallest_singular raise for a failing one through
+kernels.raise_for_status, and the scans mark or count it.
 """
 
 from __future__ import annotations
@@ -44,9 +48,8 @@ CLUSTER_TOL = 1e-7
 # and ||offdiag(Q*AQ)||_F <= TOL_CERT*scale; the first also decides whether Q
 # is the basis of the shifted columns
 TOL_CERT = 1e-8
-# complex entries per stack of shifted matrices in one kernels.jacobi_svd call
-# (direct, or through kernels.svd): n*n per item of a values-only stack,
-# 2*n*n per item of one that carries V
+# complex entries per stack of shifted matrices in one kernels.svd call: n*n
+# per item of a values-only stack, 2*n*n per item of one that carries V
 STACK_ENTRIES = 1 << 16
 
 
@@ -249,9 +252,9 @@ class Smallest(NamedTuple):
     s: np.ndarray
     w: np.ndarray
     x: np.ndarray | None
-    converged: np.ndarray
+    status: np.ndarray
+    residual: np.ndarray
     sweeps: np.ndarray
-    floored: np.ndarray | None
 
 
 def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Smallest:
@@ -261,8 +264,8 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
     DimensionError. The stacks of zB - AB go to kernels.svd: with vectors
     on their [zB - AB; I] columns, an item counting 2*n*n toward
     STACK_ENTRIES, without on the columns of zB - AB alone, n*n. The A part
-    takes the same arithmetic either way, so s, w, converged and sweeps
-    agree bit for bit wherever the stacks split alike.
+    takes the same arithmetic either way, so s, w, status, residual and
+    sweeps agree bit for bit wherever the stacks split alike.
     w is the column of least norm, (zB - AB)v = (zI - A)Bv for a smallest
     right singular vector v of the item; a caller holding B's factorization
     can recover a minimizing direction from it. With vectors, x = Bv' for
@@ -270,18 +273,19 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
     ||(zI - A)x|| = s, each entry one np.vecdot of a row of B with v', so
     that no value depends on how the shifts are chunked (a batched v' @ B.T
     can round differently by batch size); without, x is None.
-    converged and sweeps are kernels.svd's per z. bound, shaped like zs
-    (else DimensionError), goes to kernels.svd per stack: once a z of a
-    stack still rotating has a column norm below its bound, the stack
-    stops, each z it cut short is not converged, and its s, the norm of w,
-    is an upper bound on s(z), not s(z) itself. floor, shaped like zs
-    (else DimensionError), goes to kernels.svd per stack too: when its one
-    Cholesky proves sigma_n(zB - AB) above the floor of every z of a stack,
-    no sweep runs there and each of its z is floored, not converged, with
-    s the least column norm of zB - AB, an upper bound. Otherwise the stack
-    runs as without a floor. floored is None without a floor. Without a
-    bound or a floor every z converges.
-    The first failing z, in order, raises what kernels.svd raises for it.
+    status, residual and sweeps are kernels.svd's per z, and nothing is
+    raised for a status: the caller reads it, or hands status and residual
+    to kernels.raise_for_status, which raises for the first failing z. A z
+    that is refused or has a non-finite singular value has s NaN.
+    bound, shaped like zs (else DimensionError), goes to kernels.svd per
+    stack: once a z of a stack still rotating has a column norm below its
+    bound, the stack stops, each z it cut short is STOPPED, and its s, the
+    norm of w, is an upper bound on s(z), not s(z) itself. floor, shaped
+    like zs (else DimensionError), goes to kernels.svd per stack too: when
+    its one Cholesky proves sigma_n(zB - AB) above the floor of every z of a
+    stack, no sweep runs there and each of its z is FLOORED, with s the
+    least column norm of zB - AB, an upper bound. Otherwise the stack runs
+    as without a floor.
     """
     b, ab = _basis(a)
     n = ab.shape[0]
@@ -293,11 +297,10 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
     s = np.empty(zs.size)
     w = np.empty((zs.size, n), dtype=np.complex128)
     x = np.empty((zs.size, n), dtype=np.complex128) if vectors else None
-    converged = np.empty(zs.size, dtype=bool)
+    status = np.empty(zs.size, dtype=np.int64)
+    residual = np.empty(zs.size)
     sweeps = np.empty(zs.size, dtype=np.int64)
-    floored = None if floor is None else np.empty(zs.size, dtype=bool)
     for sl, stack in _shifted_stacks(b, ab, zs, 2 if vectors else 1):
-        # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
         res = kernels.svd(
             stack, None if bound is None else bound[sl], vectors,
             None if floor is None else floor[sl],
@@ -307,11 +310,10 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
         if vectors:
             v = res.v[:, :, -1]
             x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
-        converged[sl] = res.converged
+        status[sl] = res.status
+        residual[sl] = res.residual
         sweeps[sl] = res.sweeps
-        if floor is not None:
-            floored[sl] = res.floored
-    return Smallest(s, w, x, converged, sweeps, floored)
+    return Smallest(s, w, x, status, residual, sweeps)
 
 
 def _per_shift(name: str, values, zs: np.ndarray) -> np.ndarray | None:
@@ -327,31 +329,13 @@ def _per_shift(name: str, values, zs: np.ndarray) -> np.ndarray | None:
 def shifted_smallest_singular(a, z):
     """s(z) = sigma_n(zI - A) at a scalar z (a float) or a 1-D array of z (an array).
 
-    a is a matrix or an Analysis; the values are shifted_smallest's.
+    a is a matrix or an Analysis; the values are shifted_smallest's, and the
+    first z whose status fails raises what kernels.raise_for_status raises.
     """
     z = np.asarray(z, dtype=np.complex128)
-    return shifted_smallest(a, z.reshape(-1)).s.reshape(z.shape)[()]
-
-
-def shifted_sigma_min_batch(a, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s(z) = sigma_n(zI - A) at every z of a 1-D array, with a converged flag per z.
-
-    a is a matrix or an Analysis. The stacks of zB - AB go to
-    kernels.jacobi_svd for values only, and a z converged when its status is
-    kernels.OK. A z whose shifted matrix has a NaN or Inf entry, is refused
-    as out of range or has a non-finite singular value comes back
-    unconverged with s(z) NaN. Folding it into shifted_smallest, with a
-    status per z in place of a raise, is the second step of ROADMAP item 17:
-    it waits for perfbench's ceiling to accept a workload that makes no
-    kernels.svd call (item 1).
-    """
-    s = np.empty(zs.size)
-    converged = np.empty(zs.size, dtype=bool)
-    for sl, stack in _shifted_stacks(*_basis(a), zs, 1):
-        res = kernels.jacobi_svd(stack, vectors=False)
-        s[sl] = res.sigma[:, -1]
-        converged[sl] = res.status == kernels.OK
-    return s, converged
+    res = shifted_smallest(a, z.reshape(-1))
+    kernels.raise_for_status(res.status, res.residual)
+    return res.s.reshape(z.shape)[()]
 
 
 def gap(a, z: complex, spectrum: Spectrum) -> float:
@@ -381,7 +365,6 @@ def weyl_bounds_check(m, kappa_weyl: float | None = None) -> WeylReport:
     check_tolerance("kappa_weyl", kappa_weyl)
     if kappa_weyl is None:
         kappa_weyl = KAPPA_WEYL * an.scale
-    # kernels.svd, not jacobi_svd: perfbench's ceiling replays svd calls
     sigma = kernels.svd(an.a, vectors=False).sigma
     eigs = an.schur.eigenvalues
     mods = np.sort(np.abs(eigs))[::-1]

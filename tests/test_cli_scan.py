@@ -29,20 +29,20 @@ PHI_MINUS = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def unconverge_item(monkeypatch, item):
-    """Make values-only kernels.jacobi_svd calls without a bound report one item unconverged.
+    """Make values-only kernels.svd stacks without a bound report one item unconverged.
 
     Those are the scan and corollary stacks; certify's probe stack, values
-    only too, carries a bound and is left alone.
+    only too, carries a bound and is left alone, and so is one matrix.
     """
-    original = kernels.jacobi_svd
+    original = kernels.svd
 
-    def patched(stack, vectors, bound=None, floor=None):
-        res = original(stack, vectors, bound, floor)
-        if not vectors and bound is None:
+    def patched(a, bound=None, vectors=True, floor=None):
+        res = original(a, bound, vectors, floor)
+        if not vectors and bound is None and res.status.ndim:
             res.status[item] = kernels.UNCONVERGED
         return res
 
-    monkeypatch.setattr(kernels, "jacobi_svd", patched)
+    monkeypatch.setattr(kernels, "svd", patched)
 
 
 def count_calls(monkeypatch, name):
@@ -206,12 +206,12 @@ class TestScanGrid:
         nodes = np.array([x + 1j * y for y in (-1, 0, 1) for x in (-1, 0, 1)])
         region = (-1e-150, 1e-150, -1e-150, 1e-150)
         with np.errstate(all="ignore"):
-            s, converged = spectral.shifted_sigma_min_batch(a, nodes * 1e-150)
-            assert not converged.any() and np.isnan(s).all()
+            res = spectral.shifted_smallest(a, nodes * 1e-150)
+            assert (res.status != kernels.OK).all() and np.isnan(res.s).all()
             scan = scan_grid(a, region, 3, 3)
         # the scan's columns zQ - AQ start out nearly orthogonal and never
         # reach the overflowing division: every node is right
-        plain, _ = spectral.shifted_sigma_min_batch(unit, nodes)
+        plain = spectral.shifted_smallest(unit, nodes).s
         assert scan.failures == 0
         got = np.array([smp.s for smp in scan.samples])
         assert np.all(np.abs(got / (1e-150 * plain) - 1.0) <= 1e-14)

@@ -5,9 +5,10 @@ import pytest
 
 from specnorm import kernels, spectral
 from specnorm.certifier import criterion_holds
-from specnorm.errors import DimensionError, NonFiniteError
+from specnorm.errors import ConvergenceError, DimensionError, NonFiniteError
 from specnorm.generators import generate_matrix
 from specnorm.kernels import frob
+from specnorm.scan import FLAG_FAILED, scan_grid
 from specnorm.spectral import (
     cluster_spectrum,
     dist_to_spectrum,
@@ -16,6 +17,8 @@ from specnorm.spectral import (
     spectrum_of,
     weyl_bounds_check,
 )
+
+from test_kernels import raised
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 PHI_MINUS = (np.sqrt(5.0) - 1.0) / 2.0
@@ -181,7 +184,7 @@ class TestShiftedSmallestSingular:
         with pytest.raises(DimensionError, match="bound"):
             spectral.shifted_smallest(a, zs[:1], bound=0.0)
         one = spectral.shifted_smallest(a, zs[:1], bound=np.zeros(1))
-        assert one.converged[0] and one.sweeps[0] > 1
+        assert one.status[0] == kernels.OK and one.sweeps[0] > 1
 
     @pytest.mark.parametrize("zs", [0.5j, np.complex128(0.5j), np.zeros((2, 2))],
                              ids=["scalar", "0-D", "2-D"])
@@ -213,7 +216,6 @@ class TestShiftedSmallestSingular:
         gap(a, 0.3, spect)
         shifted_smallest_singular(a, zs)
         criterion_holds(a, (0.3, spect.representatives[0]), 1e-8)
-        spectral.shifted_sigma_min_batch(a, zs)
 
     @pytest.mark.parametrize("factor", [1e-160, 1e-165, 1e-200])
     def test_underflowing_shift_raises_nonfinite(self, factor):
@@ -227,8 +229,43 @@ class TestShiftedSmallestSingular:
         a = np.diag([2.0, 1e-170])
         with pytest.raises(NonFiniteError, match="underflow"):
             shifted_smallest_singular(a, 1e-171)
-        s, converged = spectral.shifted_sigma_min_batch(a, np.array([1e-171, 1.0]))
-        assert converged.tolist() == [False, True] and np.isnan(s[0])
+        res = spectral.shifted_smallest(a, np.array([1e-171, 1.0]))
+        assert res.status.tolist() == [kernels.UNDERFLOW, kernels.OK] and np.isnan(res.s[0])
+
+    def test_a_status_per_shift_across_stacks(self, monkeypatch):
+        # zI - A for the shifts -3..3 in four stacks of at most two: at z = 0
+        # column 2 is (0, -1e-170, 0), nonzero with a squared norm that
+        # underflows, so z = 0 is refused (stack 2); at z = 2 columns 2 and
+        # 3 are parallel and need a second sweep, which a budget of one
+        # sweep denies (stack 3); elsewhere the coupling 1e-20 is below the
+        # rotation threshold and one sweep converges
+        a = np.diag([-2.0, 1e-170, 2.0]).astype(complex)
+        a[1, 2] = 1e-20
+        zs = np.linspace(-3.0, 3.0, 7).astype(complex)
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 2 * 3 * 3)
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        res = spectral.shifted_smallest(a, zs)
+        ok, underflow, unconverged = kernels.OK, kernels.UNDERFLOW, kernels.UNCONVERGED
+        assert res.status.tolist() == [ok, ok, ok, underflow, ok, unconverged, ok]
+        for k, z in enumerate(zs):
+            alone = kernels.svd((z * np.eye(3) - a)[None], vectors=False)
+            assert np.array_equal(res.s[k], alone.sigma[0, -1], equal_nan=True)
+            for name in ("status", "residual", "sweeps"):
+                assert getattr(res, name)[k] == getattr(alone, name)[0], (name, k)
+
+        # the first failing z, in order, raises what kernels.svd of it raises
+        for order, first in ((zs, 0.0), (zs[::-1], 2.0)):
+            expected = raised(lambda: kernels.svd(first * np.eye(3) - a))
+            assert raised(lambda: shifted_smallest_singular(a, order)) == expected
+        assert raised(lambda: shifted_smallest_singular(a, zs))[0] is NonFiniteError
+        assert raised(lambda: shifted_smallest_singular(a, zs[::-1]))[0] is ConvergenceError
+        # the scan's one grid row holds the same shifts: exactly those two fail
+        an = spectral.analyze(a)
+        assert np.array_equal(spectral.shifted_smallest(an, zs).status, res.status)
+        scan = scan_grid(an, (-3.0, 3.0, 0.0, 0.0), 7, 1)
+        assert [smp.z for smp in scan.samples] == zs.tolist()
+        assert [smp.flag == FLAG_FAILED for smp in scan.samples] == (res.status != ok).tolist()
+        assert scan.failures == 2
 
 
 class TestGap:
