@@ -7,9 +7,11 @@ test is one-sided, ||(zI - A)x|| >= s(z) for every unit x and s(z) <= d(z),
 so a unit x with ||(zI - A)x|| below d(z) - tol_eq decides Nonnormal, and
 certify stops the probe Jacobi after the first rotation step that makes one
 appear. The probe Jacobi runs for values only; only the witness needs a
-vector, and it comes from the witness probe's stopped column by one back
-substitution against the Schur triangle T, checked against A before it is
-kept. The certificate of a Normal verdict is the unitary factor Q of the Schur form
+vector, and every witness vector comes from the Schur triangle T: one back
+substitution of the probe's stopped column, refined by inverse iteration
+when it falls short, and checked against A before it is kept
+(`_schur_witness`). So a certify makes at most one kernels.svd call. The
+certificate of a Normal verdict is the unitary factor Q of the Schur form
 A = Q T Q* that also gave the spectrum: T is diagonal for a normal matrix, so
 Q is an orthonormal eigenbasis, checked by ||Q*Q - I||_F and by
 ||offdiag(Q*AQ)||_F, Henrici's departure from normality. The definitional
@@ -53,6 +55,8 @@ from .spectral import TOL_CERT, Spectrum
 
 TOL_EQ = 1e-8
 TIE_MARGIN = 1e-3
+# the inverse-iteration steps `_schur_witness` may take at one failing probe
+WITNESS_STEPS = 3
 
 
 @dataclass
@@ -66,7 +70,8 @@ class Probe:
 class ProbeEvidence:
     """The test at one probe. source names where s came from: "jacobi" is the
     probe Jacobi, and when converged is False there, s is ||(zI - A)x|| for
-    a unit x, an upper bound on sigma_n(zI - A), and gap a lower bound.
+    a unit x, an upper bound on sigma_n(zI - A), and gap a lower bound. A
+    witness's s is always ||(zI - A)x|| for its own witness_vector x.
     "schur_bound" is `_schur_bound_evidence`'s lower bound on
     sigma_n(zI - A), so gap is an upper bound. "floor" is the probe's
     pass_bound, a lower bound on sigma_n(zI - A) that the probe stack's
@@ -342,75 +347,66 @@ def _witness_residual(a: np.ndarray, z: complex, x: np.ndarray) -> float:
     return frob(z * x - a @ x)
 
 
-def _back_substituted_witness(
-    an: spectral.Analysis, z: complex, w: np.ndarray, bound: float
-) -> np.ndarray | None:
-    """The unit x of a failing probe z, from its least column w; None unless it proves the failure.
-
-    With B = Q, w = (zQ - AQ)v for a unit v, and zQ - AQ = Q(zI - T) up to
-    the Schur residual, so one back substitution v = (zI - T)^{-1} Q*w over
-    T's entries as Python complex, a backward-stable solve, gives v up to
-    round-off; x = Qv/||Qv||, with v's phase pinned as kernels.svd pins V's
-    columns (`_pin_phases`'s rule).
-    x is kept only when `_witness_residual` is below the probe's witness
-    bound. None for B = I, a zero pivot z - t_ii, a v whose norm is zero or
-    not finite, or an x that misses the bound.
-    """
-    q, _ = an.basis
-    if q is None:
-        return None
-    t = an.schur.t.tolist()
-    v = (q.conj().T @ w).tolist()
+def _back_solve(t: list, z: complex, v: list) -> list:
+    """v overwritten by (zI - T)^{-1}v, from T's rows as Python complex; no t_ii may equal z."""
     n = len(v)
     for i in range(n - 1, -1, -1):
-        pivot = z - t[i][i]
-        if pivot == 0:
-            return None
         row = t[i]
         acc = v[i]
         for j in range(i + 1, n):
             acc += row[j] * v[j]
-        v[i] = acc / pivot
-    # ||v|| finite and nonzero keeps the numpy steps below clear of overflow
-    # and of a division by zero
-    mags = [_cabs(c) for c in v]
-    nv = math.hypot(*mags)
-    if not 0.0 < nv < math.inf:
-        return None
-    # _pin_phases's rule on Python scalars: on one vector its numpy calls
-    # cost as much as the rest of this function
-    top = 1e-12 * max(mags)
-    pin = next(m / c for c, m in zip(v, mags) if m > top)
-    x = q @ (np.array(v) * (pin / nv))
-    x = x / frob(x)
-    if not _witness_residual(an.a, z, x) < bound:
-        return None
-    return x
+        v[i] = acc / (z - row[i])
+    return v
 
 
-def _witness(
-    an: spectral.Analysis, e: ProbeEvidence, w: np.ndarray, bound: float, tol_eq: float
-) -> tuple[ProbeEvidence, np.ndarray]:
-    """The witness evidence and witness_vector of the failing probe e.
+def _schur_witness(
+    an: spectral.Analysis, z: complex, w: np.ndarray, bound: float
+) -> tuple[np.ndarray, float, int] | None:
+    """A unit x that proves probe z fails, from its least column w, as (x, r, steps); else None.
 
-    x comes from `_back_substituted_witness` and e stands as it is. Where
-    that gives None, the probe runs alone through
-    spectral.shifted_smallest with V and its bound, a failing status raises
-    through kernels.raise_for_status, and s, converged (status OK) and x
-    all come from that one run, so ||(zI - A)x|| is again its s. That
-    run continues past the rotation step at which the stack stopped whenever
-    another probe stopped it; should it then pass, certify raises
-    IndeterminateError rather than name a witness that is not one.
+    w = (zB - AB)v for a unit v. With B = Q, zQ - AQ = Q(zI - T) up to the
+    Schur residual; with B = I, w = (zI - A)v and (zI - A)Q = Q(zI - T). So
+    either way one back substitution v = (zI - T)^{-1} Q*w against the
+    Schur triangle gives v up to round-off and Q's departure from unitarity,
+    and x = Qv/||Qv||, with v's phase pinned as kernels.svd pins V's
+    columns (`_pin_phases`'s rule). x is kept once r = `_witness_residual`
+    is below the probe's witness bound. Until then, up to WITNESS_STEPS
+    steps of inverse iteration on (zI - T)*(zI - T) (Ipsen 1997) refine the
+    last unit v: a forward solve with (zI - T)*, then a back solve with
+    zI - T. In exact arithmetic no step raises ||(zI - T)v||/||v||. steps
+    counts the steps taken. None for a zero pivot (z = t_ii), a v whose
+    norm is zero or not finite, or no x below the bound.
     """
-    x = _back_substituted_witness(an, e.z, w, bound)
-    if x is not None:
-        return e, x
-    alone = spectral.shifted_smallest(an, np.array([e.z]), np.array([bound]), vectors=True)
-    kernels.raise_for_status(alone.status, alone.residual)
-    e = probe_evidence(e.z, e.lam, alone.s[0], tol_eq, alone.status[0] == kernels.OK)
-    if e.passed:
-        raise IndeterminateError(f"probe {e.z} fails in the probe stack but passes alone")
-    return e, alone.x[0]
+    q = an.schur.q
+    t = an.schur.t.tolist()
+    if any(row[i] == z for i, row in enumerate(t)):
+        return None
+    v = _back_solve(t, z, (q.conj().T @ w).tolist())
+    for steps in range(WITNESS_STEPS + 1):
+        if steps:
+            # (zI - T)* with its rows and columns reversed is conj(z)I less T*
+            # reversed, upper triangular, so the forward solve with (zI - T)*
+            # is a back substitution there on the reversed vector
+            flipped = an.schur.t.conj().T[::-1, ::-1].tolist()
+            v = _back_solve(t, z, _back_solve(flipped, z.conjugate(), v[::-1])[::-1])
+        # ||v|| finite and nonzero keeps the numpy steps below clear of
+        # overflow and of a division by zero
+        mags = [_cabs(c) for c in v]
+        nv = math.hypot(*mags)
+        if not 0.0 < nv < math.inf:
+            return None
+        # _pin_phases's rule on Python scalars: on one vector its numpy calls
+        # cost as much as the rest of this function
+        top = 1e-12 * max(mags)
+        pin = next(m / c for c, m in zip(v, mags) if m > top)
+        u = np.array(v) * (pin / nv)
+        x = q @ u
+        x = x / frob(x)
+        r = _witness_residual(an.a, z, x)
+        if r < bound:
+            return x, r, steps
+        v = u.tolist()
+    return None
 
 
 def _schur_gates(an: spectral.Analysis) -> tuple[float, float | None, np.ndarray | None]:
@@ -577,14 +573,15 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     where the stack stopped (which can differ from the first failing probe
     of a converged stack, or of a stack stopped later) is the witness, and
     jacobi_sweeps records the sweep that step belongs to. The stack carries
-    no V: the witness_vector x is recovered from the witness's column of
-    least norm w = (zQ - AQ)v by one back substitution,
-    v = (zI - T)^{-1} Q*w and x = Qv/||Qv||, and kept once ||(zI - A)x|| is
-    below the witness bound. Where it is not (the columns
-    were those of zI - A, a pivot of zI - T is zero, or x misses the bound),
-    the witness probe runs again alone with V through
-    spectral.shifted_smallest, and its s and x both come from that run.
-    Either way ||(zI - A)x|| = s, up to round-off.
+    no V: `_schur_witness` recovers the witness_vector x from a failing
+    probe's column of least norm w by one back substitution,
+    v = (zI - T)^{-1} Q*w and x = Qv/||Qv||, refined by up to
+    WITNESS_STEPS inverse-iteration steps on T until ||(zI - A)x|| is below
+    the probe's witness bound. The witness is the first failing probe whose
+    x meets its bound; its s is that ||(zI - A)x||, in recheck_witness's
+    own arithmetic, and converged turns False once a step was taken. When
+    no failing probe gives such an x, certify raises IndeterminateError
+    naming the first failing probe. No second kernels.svd call runs.
     On a clean pass the Schur vectors are attached as the eigenbasis once
     they meet the residual bounds ||U*U - I||_F <= TOL_CERT*n and
     ||offdiag(U*AU)||_F <= TOL_CERT*scale, checked in that order. The
@@ -596,8 +593,7 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     Either way they are formed from A, and Q only rotates: s moves by at
     most ||zI - A||_2 ||Q*Q - I||_2, and recheck_witness checks x against A
     itself. Kernel non-convergence or a residual over its bound raises
-    IndeterminateError rather than guessing, and so does a witness probe
-    that fails in the stack but passes when run alone. A NaN, infinite or
+    IndeterminateError rather than guessing. A NaN, infinite or
     negative tolerance, or a non-finite probe angle, raises ValueError. A
     finite matrix whose ||A||_F overflows, so that no default tolerance is
     finite, raises NonFiniteError once its Schur form has converged.
@@ -658,10 +654,17 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
             ]
             sweeps = max(stack.sweeps.tolist())
             failing = [k for k, e in enumerate(evidence) if not e.passed]
-            if failing:
-                k = failing[0]
-                witness, witness_vector = _witness(an, evidence[k], stack.w[k], bound[k], tol_eq)
-                evidence[k] = witness
+            for k in failing:
+                found = _schur_witness(an, zs[k], stack.w[k], bound[k])
+                if found is not None:
+                    witness_vector, r, steps = found
+                    converged = evidence[k].converged and not steps
+                    evidence[k] = witness = probe_evidence(zs[k], lams[k], r, tol_eq, converged)
+                    break
+            if failing and witness is None:
+                raise IndeterminateError(
+                    f"probe {zs[failing[0]]} fails, but no failing probe's vector meets its bound"
+                )
     except ConvergenceError as exc:
         raise IndeterminateError(f"kernel did not converge: {exc}") from exc
     config_echo = {

@@ -37,7 +37,12 @@ class DependenceError(SpecnormError):
 class IndeterminateError(SpecnormError):
     """The certifier could not reach a trustworthy verdict.
 
-    Raised instead of returning a silent Normal/Nonnormal when a kernel fails
-    to converge, or when every probe passes but the Schur vectors fail the
-    certificate's residual bounds.
+    Raised instead of returning a silent Normal/Nonnormal, at these sites:
+    certify, when a kernel does not converge (the ConvergenceError is its
+    cause), when probes fail but no failing probe's vector from the Schur
+    form meets its witness bound, or when every probe passes but the Schur
+    vectors fail one of the certificate's residual bounds
+    (`_residual_gate`); select_probes, when a probe is not strictly nearest
+    to its own eigenvalue; and build_orthonormal_eigenbasis, when the
+    eigenspace dimensions do not sum to the order.
     """

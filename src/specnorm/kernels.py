@@ -54,9 +54,10 @@ raises: its caller reads the statuses, or hands them to `raise_for_status`.
 One (n, n) matrix raises for its status there and then. The certifier
 evaluates all its probes as one values-only stack, with a bound and, near
 normality, a floor per probe, and recovers its witness vector from that
-least column; `scan.scan_grid` and `scan.check_corollary` evaluate all
-their shifts of one matrix as values-only stacks too. All of them go
-through `spectral.shifted_smallest`, which builds every stack as
+least column against its Schur triangle, so it never asks for V;
+`scan.scan_grid` and `scan.check_corollary` evaluate all their shifts of
+one matrix as values-only stacks too. All of them go through
+`spectral.shifted_smallest`, which asks for no V and builds every stack as
 zB - AB = (zI - A)B: B is the Schur factor Q of an Analysis whose
 ||Q*Q - I||_F meets certify's bound TOL_CERT*n, which makes the columns
 nearly orthogonal for a normal or near-normal A and moves the singular

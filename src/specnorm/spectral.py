@@ -6,12 +6,12 @@ holds for every square matrix, with equality everywhere exactly when the
 matrix is normal.
 
 Every stack of shifted matrices that goes to the Jacobi kernel's one entry
-point, kernels.svd, with V or values only, comes from shifted_smallest, the
-one function that evaluates s(z) at a set of shifts, for certify, gap and
-both scans. `_shifted_stacks` builds each as the columns
+point, kernels.svd, comes from shifted_smallest, the one function that
+evaluates s(z) at a set of shifts, for certify, gap and both scans, and
+always for values only. `_shifted_stacks` builds each as the columns
 zB - AB = (zI - A)B for a basis B with AB formed once per matrix; the kernel
-returns each item's column (zB - AB)v of least norm, and with V a
-minimizing right singular vector v maps back to x = Bv for zI - A. B is the
+returns each item's column (zB - AB)v of least norm, from which certify
+recovers its witness vector against the Schur triangle. B is the
 Schur factor Q when the caller passes an Analysis whose Q meets
 ||Q*Q - I||_F <= TOL_CERT*n (the bound of certify's Normal gate, which
 reads the same residual). Since (zI - A)Q = Q(zI - T) and T is nearly
@@ -48,8 +48,8 @@ CLUSTER_TOL = 1e-7
 # and ||offdiag(Q*AQ)||_F <= TOL_CERT*scale; the first also decides whether Q
 # is the basis of the shifted columns
 TOL_CERT = 1e-8
-# complex entries per stack of shifted matrices in one kernels.svd call: n*n
-# per item of a values-only stack, 2*n*n per item of one that carries V
+# complex entries per stack of shifted matrices in one kernels.svd call, n*n
+# per item
 STACK_ENTRIES = 1 << 16
 
 
@@ -231,52 +231,44 @@ def _basis(a) -> tuple[np.ndarray | None, np.ndarray]:
     return None, as_square(a)
 
 
-def _shifted_stacks(b, ab: np.ndarray, zs: np.ndarray, entries_per_item: int):
+def _shifted_stacks(b, ab: np.ndarray, zs: np.ndarray):
     """Stacks of zB - AB over a 1-D array of shifts, each with its slice of zs.
 
     B None is the identity. Each stack holds at most about STACK_ENTRIES
-    complex entries, counting entries_per_item per n*n, so memory stays
-    bounded on large grids.
+    complex entries, so memory stays bounded on large grids.
     """
     n = ab.shape[0]
     rot = np.eye(n, dtype=np.complex128) if b is None else b
-    step = max(1, STACK_ENTRIES // (entries_per_item * n * n))
+    step = max(1, STACK_ENTRIES // (n * n))
     for lo in range(0, zs.size, step):
         sl = slice(lo, lo + step)
         yield sl, zs[sl, None, None] * rot - ab
 
 
 class Smallest(NamedTuple):
-    """What shifted_smallest returns: one entry per z (w and x with a trailing n)."""
+    """What shifted_smallest returns: one entry per z (w with a trailing n)."""
 
     s: np.ndarray
     w: np.ndarray
-    x: np.ndarray | None
     status: np.ndarray
     residual: np.ndarray
     sweeps: np.ndarray
 
 
-def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Smallest:
+def shifted_smallest(a, zs, bound=None, floor=None) -> Smallest:
     """s(z) = sigma_n(zI - A) at every z of a 1-D array, with its Jacobi's output.
 
     a is a matrix or an Analysis; zs of another dimension raises
-    DimensionError. The stacks of zB - AB go to kernels.svd: with vectors
-    on their [zB - AB; I] columns, an item counting 2*n*n toward
-    STACK_ENTRIES, without on the columns of zB - AB alone, n*n. The A part
-    takes the same arithmetic either way, so s, w, status, residual and
-    sweeps agree bit for bit wherever the stacks split alike.
-    w is the column of least norm, (zB - AB)v = (zI - A)Bv for a smallest
-    right singular vector v of the item; a caller holding B's factorization
-    can recover a minimizing direction from it. With vectors, x = Bv' for
-    V's column v' (v up to a unit phase), a unit vector with
-    ||(zI - A)x|| = s, each entry one np.vecdot of a row of B with v', so
-    that no value depends on how the shifts are chunked (a batched v' @ B.T
-    can round differently by batch size); without, x is None.
-    status, residual and sweeps are kernels.svd's per z, and nothing is
-    raised for a status: the caller reads it, or hands status and residual
-    to kernels.raise_for_status, which raises for the first failing z. A z
-    that is refused or has a non-finite singular value has s NaN.
+    DimensionError. The stacks of zB - AB go to kernels.svd for values
+    only, each item counting n*n toward STACK_ENTRIES; no value depends on
+    how the shifts are chunked. w is the column of least norm,
+    (zB - AB)v = (zI - A)Bv for a smallest right singular vector v of the
+    item; a caller holding B's factorization can recover a minimizing
+    direction from it. status, residual and sweeps are kernels.svd's per
+    z, and nothing is raised for a status: the caller reads it, or hands
+    status and residual to kernels.raise_for_status, which raises for the
+    first failing z. A z that is refused or has a non-finite singular value
+    has s NaN.
     bound, shaped like zs (else DimensionError), goes to kernels.svd per
     stack: once a z of a stack still rotating has a column norm below its
     bound, the stack stops, each z it cut short is STOPPED, and its s, the
@@ -296,24 +288,20 @@ def shifted_smallest(a, zs, bound=None, vectors: bool = False, floor=None) -> Sm
     floor = _per_shift("floor", floor, zs)
     s = np.empty(zs.size)
     w = np.empty((zs.size, n), dtype=np.complex128)
-    x = np.empty((zs.size, n), dtype=np.complex128) if vectors else None
     status = np.empty(zs.size, dtype=np.int64)
     residual = np.empty(zs.size)
     sweeps = np.empty(zs.size, dtype=np.int64)
-    for sl, stack in _shifted_stacks(b, ab, zs, 2 if vectors else 1):
+    for sl, stack in _shifted_stacks(b, ab, zs):
         res = kernels.svd(
-            stack, None if bound is None else bound[sl], vectors,
+            stack, None if bound is None else bound[sl], False,
             None if floor is None else floor[sl],
         )
         s[sl] = res.sigma[:, -1]
         w[sl] = res.least
-        if vectors:
-            v = res.v[:, :, -1]
-            x[sl] = v if b is None else np.vecdot(b.conj(), v[:, None, :])
         status[sl] = res.status
         residual[sl] = res.residual
         sweeps[sl] = res.sweeps
-    return Smallest(s, w, x, status, residual, sweeps)
+    return Smallest(s, w, status, residual, sweeps)
 
 
 def _per_shift(name: str, values, zs: np.ndarray) -> np.ndarray | None:

@@ -52,16 +52,21 @@ SCAN_SEEDS = (1, 2, 3)
 VERDICTS = {"indeterminate": "Indeterminate", "refused": "refused"}
 
 
-def certify_digest() -> tuple[Counter, str]:
-    """Verdict counts and one sha256 over every certify outcome, in order."""
+def certify_inputs() -> list[np.ndarray]:
+    """The 864 matrices: the corpus, then both certify mixes at each of CERTIFY_SEEDS."""
     inputs = [corpus_matrix(i, max_n=8)[0] for i in range(300)]
     for seed in CERTIFY_SEEDS:
         for workload in ("certify_normal", "certify_nonnormal"):
             inputs += [generate_matrix(s.kind, s.n, s.seed, s.param)
                        for s in workloads.matrices(workload, seed)]
+    return inputs
+
+
+def certify_digest() -> tuple[Counter, str]:
+    """Verdict counts and one sha256 over every certify outcome, in order."""
     counts = Counter()
     digest = hashlib.sha256()
-    for a in inputs:
+    for a in certify_inputs():
         payload = run.call(run.Op("certify", None, a, "certify"))
         if payload[0] == "cert":
             verdict, text = payload[1].verdict, io.dump_json(payload[2])

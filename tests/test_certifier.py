@@ -61,7 +61,7 @@ def stack_spy(monkeypatch):
 def assert_witness_rechecks(a, cert):
     """recheck_witness matches the witness's s and proves the failure."""
     residual = recheck_witness(a, cert)
-    assert abs(residual - cert.witness.s) <= 1e-12 * max(1.0, frob(a))
+    assert residual == cert.witness.s
     assert residual < cert.witness.d - cert.config_echo["tol_eq"]
 
 
@@ -527,10 +527,10 @@ class TestWitnessVector:
         with pytest.raises(ValueError):
             recheck_witness(a, cert)
 
-    def test_non_unitary_schur_factor_takes_the_fallback(self, monkeypatch):
+    def test_non_unitary_schur_factor_gives_a_schur_witness(self, monkeypatch):
         # Q off by 1e-6 in scale misses the unitarity bound, so the probe
-        # stack runs on zI - A (B = I) and no back substitution applies: the
-        # witness probe runs again alone, with V, for its s and x
+        # stack runs on zI - A (B = I); the back substitution against T
+        # still gives the witness, and no second svd call runs
         original = kernels.schur
 
         def stretched(a):
@@ -543,14 +543,16 @@ class TestWitnessVector:
         calls = count_kernel_calls(monkeypatch)
         cert = certify(a)
         assert cert.verdict == "Nonnormal"
-        assert calls == {"svd": 2, "schur": 1}
+        assert calls == {"svd": 1, "schur": 1}
         assert_witness_rechecks(a, cert)
 
     def test_missed_recheck_takes_the_fallback(self, monkeypatch):
-        # a back-substituted x whose residual misses the witness bound is
-        # dropped; the fallback's s and x recheck as the stack's would
+        # a vector whose residual misses the witness bound is refined by
+        # every inverse-iteration step, at every failing probe in turn; when
+        # none meets its bound, certify names the first failing probe and
+        # decides nothing
         a = generate_matrix("ginibre", 6, 2)
-        stacked = certify(a)
+        failing = [e.z for e in certify(a).evidence if not e.passed]
         misses = []
 
         def missing(a, z, x):
@@ -559,34 +561,71 @@ class TestWitnessVector:
 
         monkeypatch.setattr(certifier, "_witness_residual", missing)
         calls = count_kernel_calls(monkeypatch)
-        cert = certify(a)
-        monkeypatch.undo()
-        assert misses == [cert.witness.z] and calls["svd"] == 2
-        assert cert.verdict == "Nonnormal" and cert.witness.z == stacked.witness.z
-        assert_witness_rechecks(a, cert)
+        with pytest.raises(IndeterminateError) as exc:
+            certify(a)
+        assert str(exc.value) == (
+            f"probe {failing[0]} fails, but no failing probe's vector meets its bound"
+        )
+        assert misses == [z for z in failing for _ in range(certifier.WITNESS_STEPS + 1)]
+        assert calls["svd"] == 1
 
     def test_zero_pivot_gives_no_back_substituted_witness(self):
-        # z on T's diagonal leaves zI - T singular: no x, so the fallback runs
+        # z on T's diagonal leaves zI - T singular: no x
         an = spectral.analyze(generate_matrix("ginibre", 5, 1))
         z = complex(an.schur.t[2, 2])
         w = np.ones(5, dtype=complex)
-        assert certifier._back_substituted_witness(an, z, w, np.inf) is None
-        x = certifier._back_substituted_witness(an, z + 1.0, w, np.inf)
-        assert abs(frob(x) - 1.0) <= 1e-15
+        assert certifier._schur_witness(an, z, w, np.inf) is None
+        x, r, steps = certifier._schur_witness(an, z + 1.0, w, np.inf)
+        assert abs(frob(x) - 1.0) <= 1e-15 and steps == 0
+        assert r == certifier._witness_residual(an.a, z + 1.0, x)
 
-    def test_witness_that_passes_alone_is_indeterminate(self, monkeypatch):
-        # the fallback's run decides the witness's s; should the probe pass
-        # there, certify names no witness rather than a passing one
-        original = spectral.shifted_smallest
+    @staticmethod
+    def certify_rotated(i, monkeypatch):
+        """Certify corpus matrix i under UAU*, as TestInvariance rotates it.
 
-        def passing(a, zs, bound=None, vectors=False, floor=None):
-            res = original(a, zs, bound, vectors, floor)
-            return res._replace(s=np.full_like(res.s, np.inf)) if vectors else res
+        Returns (the rotated matrix, its certificate, the steps of each
+        _schur_witness call, the probe stack, the svd call count).
+        """
+        from test_acceptance import corpus_matrix
 
-        monkeypatch.setattr(certifier, "_back_substituted_witness", lambda *args: None)
-        monkeypatch.setattr(spectral, "shifted_smallest", passing)
-        with pytest.raises(IndeterminateError, match="passes alone"):
-            certify(generate_matrix("ginibre", 6, 2))
+        a, _, n = corpus_matrix(i, max_n=8)
+        u = generate_matrix("unitary", n, 9000 + i)
+        b = u @ a @ u.conj().T
+        original = certifier._schur_witness
+        steps = []
+
+        def spied(*args):
+            found = original(*args)
+            steps.append(None if found is None else found[2])
+            return found
+
+        monkeypatch.setattr(certifier, "_schur_witness", spied)
+        results = stack_spy(monkeypatch)
+        calls = count_kernel_calls(monkeypatch)
+        cert = certify(b)
+        [stack] = results
+        return b, cert, steps, stack, calls["svd"]
+
+    def test_ill_conditioned_witness_takes_a_refinement_step(self, monkeypatch):
+        # corpus 3, jordan n=5, under UAU*: cond(zI - T) is about 5e14, and
+        # the back-substituted x misses its bound (6.88e-4 against 6.60e-4);
+        # one inverse-iteration step on T gives the witness, with no second
+        # svd call
+        b, cert, steps, _, svd_calls = self.certify_rotated(3, monkeypatch)
+        assert cert.verdict == "Nonnormal"
+        assert steps == [1] and svd_calls == 1
+        assert not cert.witness.converged
+        assert_witness_rechecks(b, cert)
+
+    def test_witness_s_is_its_own_vectors_residual(self, monkeypatch):
+        # corpus 285, jordan n=7, under UAU*: the stack's stopped column
+        # reads s = 1.653e-3, while the back-substituted x, which meets its
+        # bound, has ||(zI - A)x|| = 1.066e-3; the certificate reports x's
+        b, cert, steps, stack, svd_calls = self.certify_rotated(285, monkeypatch)
+        assert cert.verdict == "Nonnormal" and steps == [0] and svd_calls == 1
+        k = cert.evidence.index(cert.witness)
+        assert recheck_witness(b, cert) == cert.witness.s < 0.7 * stack.s[k]
+        assert cert.witness.gap == cert.witness.d - cert.witness.s
 
 
 class TestSerialization:
@@ -657,6 +696,20 @@ class TestInvariance:
                     moved.append((i, name, expected, got))
         assert moved == []
 
+    def test_every_certify_makes_at_most_one_svd_call(self, corpus300, monkeypatch):
+        # every witness vector comes from the Schur triangle, so a certify
+        # runs at most its one probe stack: also on the UAU* images, where
+        # some witnesses need an inverse-iteration step
+        calls = count_kernel_calls(monkeypatch)
+        most = 0
+        for i, (a, _, _, _, _) in enumerate(corpus300):
+            u = generate_matrix("unitary", len(a), 9000 + i)
+            for b in (a, u @ a @ u.conj().T):
+                calls["svd"] = 0
+                verdict(b)
+                most = max(most, calls["svd"])
+        assert most == 1
+
 
 class TestEarlyWitness:
     def test_corpus_witnesses_recheck(self, corpus300):
@@ -668,15 +721,15 @@ class TestEarlyWitness:
                 continue
             nonnormal += 1
             residual = recheck_witness(a, cert)
-            assert abs(residual - cert.witness.s) <= 1e-12 * max(1.0, frob(a)), (kind, n)
+            assert residual == cert.witness.s, (kind, n)
             assert residual < cert.witness.d - cert.config_echo["tol_eq"], (kind, n)
         assert nonnormal > 100
 
-    def test_probe_values_are_those_of_the_stack_with_vectors(self, corpus300):
-        # where the probe Jacobi ran, the values-only probe stack gives every
-        # probe's s and converged, and the sweeps, bit for bit as
-        # shifted_smallest with V under the same bounds: the witness
-        # comes from the stack, no fallback ran
+    def test_probe_values_are_those_of_the_stack(self, corpus300):
+        # where the probe Jacobi ran, every probe but the witness has the
+        # probe stack's s and converged under the same bounds, and the
+        # certificate its sweeps; the witness's s is its own vector's
+        # residual, and here no witness needed a refinement step
         nonnormal = 0
         for a, kind, n, _, cert in corpus300:
             if cert is None or cert.evidence[0].source != "jacobi":
@@ -685,11 +738,15 @@ class TestEarlyWitness:
             tol_eq = cert.config_echo["tol_eq"]
             zs = np.array([e.z for e in cert.evidence])
             bound = np.array([certifier.witness_bound(e.d, tol_eq) for e in cert.evidence])
-            with_v = spectral.shifted_smallest(spectral.analyze(a), zs, bound, vectors=True)
-            assert [e.s for e in cert.evidence] == with_v.s.tolist(), (kind, n)
-            converged = (with_v.status == kernels.OK).tolist()
+            stack = spectral.shifted_smallest(spectral.analyze(a), zs, bound)
+            s = stack.s.tolist()
+            if cert.witness is not None:
+                k = cert.evidence.index(cert.witness)
+                s[k] = recheck_witness(a, cert)
+            assert [e.s for e in cert.evidence] == s, (kind, n)
+            converged = (stack.status == kernels.OK).tolist()
             assert [e.converged for e in cert.evidence] == converged, (kind, n)
-            assert cert.jacobi_sweeps == with_v.sweeps.max(), (kind, n)
+            assert cert.jacobi_sweeps == stack.sweeps.max(), (kind, n)
         assert nonnormal > 100
 
     def test_an_unconverged_probe_means_a_witness(self, corpus300):

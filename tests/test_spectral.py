@@ -137,41 +137,36 @@ class TestShiftedSmallestSingular:
 
     @staticmethod
     def assert_chunks_agree(a, zs, monkeypatch):
-        """Check s, w and x bit for bit alone, whole and in chunks; return whole.
+        """Check s and w bit for bit alone, whole and in chunks; return whole.
 
-        The chunks hold 3 shifts; s and w also agree without vectors, and s
-        is shifted_smallest_singular's.
+        The chunks hold 3 shifts, s is shifted_smallest_singular's, and each
+        least column's norm is its s.
         """
-        alone = [spectral.shifted_smallest(a, np.array([z]), vectors=True) for z in zs]
-        whole = spectral.shifted_smallest(a, zs, vectors=True)
-        values = spectral.shifted_smallest(a, zs)
-        assert values.x is None
-        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 2 * 5 * 5)
-        chunked = spectral.shifted_smallest(a, zs, vectors=True)
+        alone = [spectral.shifted_smallest(a, np.array([z])) for z in zs]
+        whole = spectral.shifted_smallest(a, zs)
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 3 * 5 * 5)
+        chunked = spectral.shifted_smallest(a, zs)
         for res in (whole, chunked):
-            assert res.s.shape == (7,) and res.w.shape == res.x.shape == (7, 5)
-            for field in ("s", "w", "x"):
+            assert res.s.shape == (7,) and res.w.shape == (7, 5)
+            for field in ("s", "w"):
                 each = np.concatenate([getattr(one, field) for one in alone])
                 assert np.array_equal(getattr(res, field), each), field
-            assert np.array_equal(res.s, values.s) and np.array_equal(res.w, values.w)
             assert np.array_equal(res.s, shifted_smallest_singular(a, zs))
-        plain = a.a if isinstance(a, spectral.Analysis) else a
-        for z, s_k, w_k, x_k in zip(zs, whole.s, whole.w, whole.x):
-            residual = (z * np.eye(5) - plain) @ x_k
-            assert np.linalg.norm(residual) == pytest.approx(s_k, abs=1e-13)
+        for s_k, w_k in zip(whole.s, whole.w):
             assert np.linalg.norm(w_k) == pytest.approx(s_k, abs=1e-13)
         return whole
 
     def test_array_of_shifts_in_chunks(self, monkeypatch):
-        # a 1-D array of z gives each z's value, least column and vector,
-        # bit for bit, also when the stack is split into chunks of 3 shifts
+        # a 1-D array of z gives each z's value and least column, bit for
+        # bit, also when the stack is split into chunks of 3 shifts
         a = generate_matrix("ginibre", 5, 4)
         zs = np.linspace(-2, 2, 7) + 0.3j
         whole = self.assert_chunks_agree(a, zs, monkeypatch)
-        # with B = I the least column is (zI - A)x up to a unit phase, which
-        # the pinning of V's phases sets
-        for z, w_k, x_k in zip(zs, whole.w, whole.x):
-            image = (z * np.eye(5) - a) @ x_k
+        # with B = I the least column is (zI - A)v, v the smallest right
+        # singular vector of zI - A up to a unit phase
+        for z, w_k in zip(zs, whole.w):
+            m = z * np.eye(5) - a
+            image = m @ kernels.svd(m).v[:, -1]
             phase = np.vdot(image, w_k) / np.vdot(image, image)
             assert abs(abs(phase) - 1.0) <= 1e-13
             assert np.abs(w_k - phase * image).max() <= 1e-13
@@ -193,9 +188,8 @@ class TestShiftedSmallestSingular:
             spectral.shifted_smallest(generate_matrix("ginibre", 4, 1), zs)
 
     def test_schur_basis_shifts_in_chunks(self, monkeypatch):
-        # an Analysis gets the columns zQ - AQ and x = Qv: still each z's
-        # value, least column and vector, bit for bit, alone, whole and in
-        # chunks
+        # an Analysis gets the columns zQ - AQ: still each z's value and
+        # least column, bit for bit, alone, whole and in chunks
         an = spectral.analyze(generate_matrix("ginibre", 5, 4))
         assert an.basis[0] is an.schur.q
         zs = np.linspace(-2, 2, 7) + 0.3j
