@@ -5,8 +5,9 @@ smallest singular value equals the distance to the spectrum at every probe,
 the matrix is normal. A failing probe is itself a nonnormality witness: the
 test is one-sided, ||(zI - A)x|| >= s(z) for every unit x and s(z) <= d(z),
 so a unit x with ||(zI - A)x|| below d(z) - tol_eq decides Nonnormal, and
-certify stops the probe Jacobi after the first rotation step that makes one
-appear. The probe Jacobi runs for values only; only the witness needs a
+certify stops the probe Jacobi once it has read, then confirmed, a column
+norm below that bound: nothing is predicted. The probe Jacobi runs for
+values only; only the witness needs a
 vector, and every witness vector comes from the Schur triangle T: one back
 substitution of the probe's stopped column, refined by inverse iteration
 when it falls short, and checked against A before it is kept
@@ -563,15 +564,19 @@ def certify(a, config: CertifyConfig | None = None) -> NormalityCertificate:
     tol_eq) and source "floor". That filter only saves the Cholesky where
     it would decline: it decides no verdict, and a stack the floor does not
     prove runs exactly as without one.
-    The call carries each probe's witness_bound, so the Jacobi stops after
-    the first rotation step that leaves a column norm of a probe still
-    rotating below it: that probe fails, whatever more steps would give, because a column norm is
+    The call carries each probe's witness_bound, so the Jacobi stops at the
+    first step that reads a column norm of a probe still rotating below it,
+    once the full test has confirmed that norm as sigma is read: that probe
+    fails, whatever more steps would give, because a column norm is
     ||(zI - A)x|| for a unit x and so at least s(z). The probes still
     rotating then are not converged; their s is an upper bound and their gap
     a lower bound. A stack with no such column runs to convergence exactly
-    as without bounds. When probes fail, the lowest-index one at the step
-    where the stack stopped (which can differ from the first failing probe
-    of a converged stack, or of a stack stopped later) is the witness, and
+    as without bounds. Where the probes fill more than one kernels.svd
+    stack, the stacks after the first that stops run with bound inf, so
+    they stop before their first rotation, and their probes' s are upper
+    bounds too. When probes fail, the lowest-index one at the step where the
+    stack stopped (which can differ from the first failing probe of a
+    converged stack, or of a stack stopped later) is the witness, and
     jacobi_sweeps records the sweep that step belongs to. The stack carries
     no V: `_schur_witness` recovers the witness_vector x from a failing
     probe's column of least norm w by one back substitution,

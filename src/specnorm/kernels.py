@@ -28,15 +28,15 @@ complex coefficient of the rotation (the columns differ from a real-sine
 rotation's only by unit phases, which `svd`'s phase pinning on V
 absorbs).
 An item that runs out of sweeps reports the largest coupling left in its
-columns. A per-item bound stops the core early: after the first rotation
-step that leaves a live item with a column norm below its bound, the items
-still rotating are STOPPED, not converged. Any column norm is ||A_i v|| for
-a unit v, so it bounds sigma_min from above, and a caller that only needs to
-know whether sigma_min is below a threshold (the certifier's nonnormality
-witness) has its answer; a stack in which no norm falls below its bound runs
-as without one, bit for bit. A step reads the column norms only when a
-pre-test on its own 2x2 quantities, with a rounding margin derived in
-`_jacobi`, says one may have fallen below its bound.
+columns. A per-item bound stops the core early, read, then confirmed: each
+step compares the squared column norms it reads anyway with the bounds
+squared before it rotates, and only when one is below reads every column
+norm as sigma is read; when one of a live item is below its bound, the
+items still rotating are STOPPED, not converged. Any column norm is
+||A_i v|| for a unit v, so it bounds sigma_min from above, and a caller that
+only needs to know whether sigma_min is below a threshold (the certifier's
+nonnormality witness) has its answer; a stack in which no norm falls below
+its bound runs as without one, bit for bit.
 A per-item floor proves the other side before any sweep, all or nothing
 per stack: `_floor_holds` runs one Cholesky factorization, vectorized over
 the stack, of each item's Gram matrix less its floor squared and a rounding
@@ -88,8 +88,6 @@ TINY = float(np.finfo(np.float64).tiny)
 
 MAX_QR_ITERS_PER_N = 30
 MAX_JACOBI_SWEEPS = 30
-# the rounding margin of `_jacobi`'s stop pre-test, in units of rows*EPS
-STOP_GUARD = 32.0
 # the rounding margin of `_floor_holds`'s Cholesky test, in units of (n + 2)*EPS
 FLOOR_GUARD = 8.0
 
@@ -460,64 +458,29 @@ def _jacobi(
     and s = 0.
     An item has converged when a sweep rotates nothing in it; it then leaves
     the working set.
-    With a bound (one float per item), the core stops after the first
-    rotation step that leaves a live item with a column whose norm (over the
-    first `rows` entries, as `_squared_column_norms` and a square root give
-    it, which is how `svd` reads sigma) is below its bound: the full test.
-    Each column is the image of a unit vector, so its norm is an upper
-    bound on the item's smallest singular value. The test only reads the
-    columns, so a stack in which no norm falls below its bound runs exactly
-    as without one. Converged items are final and are not tested, and an
-    item whose bound is not positive never stops the core.
-    A step runs the full test only when a pre-test on what the step already
-    holds says that a column may have fallen below its bound. In exact
-    arithmetic a rotation turns app and aqq into app - t|apq| and
-    aqq + t|apq|, so neither new squared norm is below
-    m2 = min(app, aqq) - |t||apq| (t = 0 where the pair does not rotate).
-    The pre-test asks whether some pair of an item has
-    m2 < b^2 + g(b^2 + F^2 + TINY), with b the item's bound, F^2 the sum of
-    its squared column norms as the core received them, and
-    g = STOP_GUARD*rows*EPS; b^2 is taken as inf for b >= 2^511, so it
-    never overflows, and the threshold is -inf for b <= 0. For even n
-    every column is in a pair of every step. For odd n one column sits out
-    each step, so the first step that rotates runs the full test whatever
-    the pre-test says; after it, a column that a step leaves alone is as a
-    test last read it.
-    The pre-test never skips a stop that the full test would make. With
-    u = EPS/2, r = rows (a column's float64 view holds 2r reals) and
-    S = ||w_p||^2 + ||w_q||^2 for the pair's stored columns, to first order
-    (Higham 2002, Sections 3.1 and 3.6):
-    (1) app and aqq err by at most gamma_{2r} relative, and apq by at most
-        sqrt(2)*gamma_{2r}*sqrt(app*aqq), so the computed Gram matrix of the
-        pair is within 1.71*gamma_{2r}*S of the exact one in the 2-norm,
-        and so is every squared norm it gives a unit coefficient vector.
-    (2) The computed t is t*(1 + theta), |theta| <= gamma_8, with t* exact
-        for the computed Gram matrix (|apq|, tau and |tau| + hypot(1, tau),
-        whose relative condition in tau is at most 1). With cs and s exact
-        for t, the pair's least new squared norm is then
-        min(app, aqq) - |t||apq| plus at most
-        2|theta|*t*^2/(1 + t*^2)*sqrt(|apq|^2 + (aqq - app)^2/4) <= 4u*S,
-        and m2's own three roundings add at most 3u*S.
-    (3) The computed cs and s are within gamma_10 of those exact for t,
-        which moves a squared norm by at most 2*gamma_10*S.
-    (4) Forming cs*w_p - conj(s)*w_q errs entrywise by at most
-        gamma_6(|cs||w_p| + |s||w_q|), at most 2*gamma_6*S on the squared
-        norm.
-    So each new column of the pair has a squared norm of at least
-    m2 - (1.71*r + 20)*EPS*S. The full test stops on fl(sqrt(N)) < b, with
-    N the computed squared norm: sqrt is correctly rounded and b is a float,
-    so N < b^2, and N errs by at most gamma_{r+4} relative. So a stop needs
-    m2 < b^2(1 + gamma_{r+5}) + (1.71*r + 20)*EPS*S. The threshold is
-    above that: S is at most F^2 but for the rounding of the at most
-    MAX_JACOBI_SWEEPS*n steps run, each of which grows the sum of squared
-    norms by at most a factor 1 + 32u, and g = 32*r*EPS exceeds both
-    (r + 5)*u and (1.71*r + 20)*EPS for every r >= 1, with room for the
-    threshold's own four roundings and the second-order terms. The TINY
-    term covers underflow: an operation whose result is below TINY errs by
-    at most u*TINY, and the fewer than 10r + 50 operations behind m2 and N,
-    each weighed by at most 1, stay below g*TINY = 64r*u*TINY. A pair whose
-    squared norms are not finite gives a NaN m2 only where the step turns
-    both its columns NaN, which no test reads as below a bound.
+    With a bound (one float per item), a stop is read, then confirmed. Each
+    step first compares the squared norms app and aqq it has just read with
+    the bound squared of their item (0 for a bound that is not positive),
+    before it forms any coupling or skips a step that rotates nothing. Only
+    when one is below it does the full test run: it reads every column norm
+    of every live item over the first `rows` entries, as
+    `_squared_column_norms` and a square root give them, which is how `svd`
+    reads sigma, and the core stops when one is below its item's bound. So
+    only the full test decides a stop, and a stopped item's least column
+    norm is below its bound in sigma's own arithmetic; a stop that rounding
+    keeps from the cheap test costs sweeps, never a wrong stop. Each column
+    is the image of a unit vector, so its norm is an upper bound on the
+    item's smallest singular value. The test only reads the columns, so a
+    stack in which no norm falls below its bound runs exactly as without
+    one. Converged items are final and are not tested, and an item whose
+    bound is not positive never stops the core. For odd n the column that
+    sits a step out is read at the next step that pairs it. A stop read
+    before a sweep rotates anything reads what the sweep before left and
+    counts as part of it, or as part of the first sweep when none ran
+    before. The step starts never read what the last steps of the last
+    sweep rotated, so when MAX_JACOBI_SWEEPS runs out with items still
+    rotating, the full test runs once more, and a stop there makes them
+    STOPPED, not unconverged.
     Returns the rotated stack, the converged flags, per item the residual
     and the sweeps it took part in (a sweep that a bound cut short counts
     as one), and whether a bound stopped the core.
@@ -536,16 +499,18 @@ def _jacobi(
     live = np.arange(b)
     work = x
     if bound is not None:
-        # the bound of each live item, against each of its columns, and the
-        # pre-test's threshold on the least new squared norm of its pairs
+        # the bound of each live item, against each of its column norms, and
+        # its square, against the squared norms each step reads: 0 for a
+        # bound that is NaN or not positive, inf where the square overflows
         limit = bound[:, None]
-        guard = STOP_GUARD * rows * EPS
-        square = np.square(np.where(bound < 2.0**511, bound, np.inf))
-        frob2 = _squared_column_norms(x[..., :rows]).sum(axis=1)
-        limit2 = np.where(bound > 0.0, square + guard * (square + frob2 + TINY), -np.inf)[:, None]
-    # for odd n a column sits out each step, where the pre-test does not
-    # read it, so the first step that rotates runs the full test
-    tested = n % 2 == 0
+        with np.errstate(over="ignore"):
+            limit2 = np.square(np.fmax(bound, 0.0))[:, None]
+
+    def below() -> bool:
+        # the full test, on the columns as svd reads sigma from them
+        norms = np.sqrt(_squared_column_norms(work[..., :rows]))
+        return bool(np.count_nonzero(norms < limit))
+
     sweep = 0
     stopped = False
     while live.size and sweep < MAX_JACOBI_SWEEPS:
@@ -564,6 +529,16 @@ def _jacobi(
             fq = hq.view(np.float64)
             app = np.vecdot(fp, fp)
             aqq = np.vecdot(fq, fq)
+            if (
+                bound is not None
+                and np.count_nonzero(np.minimum(app, aqq) < limit2)
+                and below()
+            ):
+                stopped = True
+                if len(masks) == 1 and sweep > 1:
+                    # nothing rotated yet in this sweep: the read is the last one's
+                    sweep -= 1
+                break
             apq = np.vecdot(hp, hq)
             acpq = np.abs(apq)
             scale = np.sqrt(app) * np.sqrt(aqq)
@@ -577,19 +552,10 @@ def _jacobi(
             t = np.copysign(at, tau)
             cs = 1.0 / np.sqrt(1.0 + t * t)
             s = (t * cs) * apq / den
-            test = bound is not None and (
-                not tested or np.count_nonzero(np.minimum(app, aqq) - at * acpq < limit2)
-            )
             cs = cs[..., None]
             s = s[..., None]
             work[:, p] = cs * wp - s.conj() * wq
             work[:, q] = s * wp + cs * wq
-            if test:
-                tested = True
-                norms = np.sqrt(_squared_column_norms(work[..., :rows]))
-                if np.count_nonzero(norms < limit):
-                    stopped = True
-                    break
         if stopped:
             break
         done = ~np.logical_or.reduce(np.concatenate(masks, axis=1), axis=1)
@@ -602,6 +568,9 @@ def _jacobi(
             if bound is not None:
                 limit = limit[~done]
                 limit2 = limit2[~done]
+    if live.size and bound is not None and not stopped:
+        # no step start read what the last sweep's last steps rotated
+        stopped = below()
     if live.size:
         sweeps[live] = sweep
         x[live] = work
@@ -749,9 +718,11 @@ def svd(a, bound=None, vectors: bool = True, floor=None) -> SvdResult:
     the largest coupling left, else 0), and one with a non-finite sigma
     (entries outside about 1e-145..1e154) NONFINITE_SIGMA.
     bound, if given, is one float per item, of shape () for one matrix
-    (else DimensionError): the core stops after the first rotation step
-    that leaves a live item with a column norm below its bound (see
-    `_jacobi`). A refused item's zeroed columns read norm 0, which says
+    (else DimensionError): the core stops once a step has read a column
+    norm of a live item below its bound, and the full test, which reads
+    the norms as sigma is read, has confirmed it (see `_jacobi`), or once
+    that test finds one when the sweeps run out. A refused item's zeroed
+    columns read norm 0, which says
     nothing about it, so its bound is taken as 0, below which no norm
     falls. The items still rotating when the core stops are STOPPED: their
     sigma is their column norms, whose smallest is an upper bound on
@@ -770,7 +741,8 @@ def svd(a, bound=None, vectors: bool = True, floor=None) -> SvdResult:
     Without a bound or a floor every item that is not refused or non-finite
     is OK or UNCONVERGED. sigma is NaN on every item that is neither OK,
     STOPPED, FLOORED nor UNCONVERGED. sweeps counts the sweeps an item took
-    part in, its last one included, also when a bound cut it short. The A
+    part in, its last one included, also when a bound cut it short (a stop
+    read before a sweep rotates anything belongs to the sweep before). The A
     part takes the same arithmetic with or without vectors, alone or in any
     stack, so sigma, least, status, residual and sweeps are bit-identical
     either way, for the same bound and floor. The zero matrix has sigma 0.

@@ -119,7 +119,8 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
     spectral.shifted_smallest) over the stack of zQ - AQ. A shift whose
     s(z) is not finite (a NaN or Inf entry in zI - A, or a kernel overflow
     or underflow) raises NonFiniteError, checked first; any other shift
-    whose status is not kernels.OK raises ConvergenceError.
+    whose status is not kernels.OK raises ConvergenceError, with the
+    largest residual of those shifts (the largest coupling left).
     """
     an = spectral.analyze(a)
     a = an.a
@@ -137,12 +138,13 @@ def check_corollary(a, n_samples: int = 200, seed: int = 0) -> CorollaryReport:
             "or its entries are outside the range the Jacobi kernel squares "
             "without overflow or underflow"
         )
-    bad = int(np.count_nonzero(smallest.status != kernels.OK))
-    if bad:
+    bad = smallest.status != kernels.OK
+    if bad.any():
         raise ConvergenceError(
             f"Jacobi sigma_min did not converge after {kernels.MAX_JACOBI_SWEEPS} "
-            f"sweeps at {bad} of {n_samples} shifts",
+            f"sweeps at {np.count_nonzero(bad)} of {n_samples} shifts",
             iterations=kernels.MAX_JACOBI_SWEEPS,
+            residual=float(smallest.residual[bad].max()),
         )
     max_gap = -1.0
     worst = center

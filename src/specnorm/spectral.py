@@ -260,19 +260,24 @@ def shifted_smallest(a, zs, bound=None, floor=None) -> Smallest:
 
     a is a matrix or an Analysis; zs of another dimension raises
     DimensionError. The stacks of zB - AB go to kernels.svd for values
-    only, each item counting n*n toward STACK_ENTRIES; no value depends on
-    how the shifts are chunked. w is the column of least norm,
-    (zB - AB)v = (zI - A)Bv for a smallest right singular vector v of the
-    item; a caller holding B's factorization can recover a minimizing
+    only, each item counting n*n toward STACK_ENTRIES; without a bound no
+    value depends on how the shifts are chunked. w is the column of least
+    norm, (zB - AB)v = (zI - A)Bv for a smallest right singular vector v of
+    the item; a caller holding B's factorization can recover a minimizing
     direction from it. status, residual and sweeps are kernels.svd's per
     z, and nothing is raised for a status: the caller reads it, or hands
     status and residual to kernels.raise_for_status, which raises for the
     first failing z. A z that is refused or has a non-finite singular value
     has s NaN.
     bound, shaped like zs (else DimensionError), goes to kernels.svd per
-    stack: once a z of a stack still rotating has a column norm below its
-    bound, the stack stops, each z it cut short is STOPPED, and its s, the
-    norm of w, is an upper bound on s(z), not s(z) itself. floor, shaped
+    stack: once a step reads a column norm below its bound in a z of a
+    stack still rotating, and the full test confirms it, the stack stops,
+    each z it cut short is STOPPED, and its s, the norm of w, is an upper
+    bound on s(z), not s(z) itself. The stop carries across stacks: every
+    stack after one with a STOPPED z runs with bound inf, so it stops
+    before its first rotation, each z it holds STOPPED (but those refused,
+    non-finite or FLOORED), with s its least column norm. So with a bound,
+    which z are STOPPED depends on the chunking. floor, shaped
     like zs (else DimensionError), goes to kernels.svd per stack too: when
     its one Cholesky proves sigma_n(zB - AB) above the floor of every z of a
     stack, no sweep runs there and each of its z is FLOORED, with s the
@@ -301,6 +306,9 @@ def shifted_smallest(a, zs, bound=None, floor=None) -> Smallest:
         status[sl] = res.status
         residual[sl] = res.residual
         sweeps[sl] = res.sweeps
+        if bound is not None and np.count_nonzero(res.status == kernels.STOPPED):
+            # a later stack stops before its first rotation
+            bound = np.full(zs.shape, np.inf)
     return Smallest(s, w, status, residual, sweeps)
 
 

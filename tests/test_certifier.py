@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specnorm import certifier, kernels, spectral
 from specnorm.certifier import (
@@ -24,7 +26,7 @@ from specnorm.certifier import (
     semisimple_check,
 )
 from specnorm.errors import IndeterminateError, NonFiniteError
-from specnorm.generators import generate_matrix
+from specnorm.generators import KINDS, generate_matrix
 from specnorm.kernels import frob, schur
 from specnorm.spectral import cluster_spectrum, spectrum_of
 
@@ -696,6 +698,23 @@ class TestInvariance:
                     moved.append((i, name, expected, got))
         assert moved == []
 
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_eps=st.floats(-10.0, -2.0),
+        u_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_matrices_keep_their_verdict(self, kind, n, seed, log_eps, u_seed):
+        # the same maps on drawn matrices: any kind, order and seed, and for
+        # near_normal any eps from 1e-10 to 1e-2, across the band
+        a = generate_matrix(kind, n, seed, 10.0**log_eps if kind == "near_normal" else None)
+        u = generate_matrix("unitary", n, u_seed)
+        expected = verdict(a)
+        for name, b in (("A^T", a.T), ("A*", a.conj().T), ("UAU*", u @ a @ u.conj().T)):
+            assert verdict(b) == expected, name
+
     def test_every_certify_makes_at_most_one_svd_call(self, corpus300, monkeypatch):
         # every witness vector comes from the Schur triangle, so a certify
         # runs at most its one probe stack: also on the UAU* images, where
@@ -748,6 +767,27 @@ class TestEarlyWitness:
             assert [e.converged for e in cert.evidence] == converged, (kind, n)
             assert cert.jacobi_sweeps == stack.sweeps.max(), (kind, n)
         assert nonnormal > 100
+
+    @pytest.mark.parametrize("kind", ["ginibre", "jordan", "near_normal"])
+    def test_a_stop_carries_across_probe_stacks(self, kind, monkeypatch):
+        # one probe per kernels.svd stack: once a stack stops at a witness,
+        # every later probe stops before its first rotation; the verdict is
+        # that of the one-stack certify, and the witness comes from a stack
+        # no later than the first that stopped
+        for seed in range(3):
+            a = generate_matrix(kind, 8, seed, {"near_normal": 1e-3}.get(kind))
+            whole = certify(a)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "STACK_ENTRIES", 8 * 8)
+                stacks = stack_spy(m)
+                chunked = certify(a)
+            assert chunked.verdict == whole.verdict == "Nonnormal"
+            assert_witness_rechecks(a, chunked)
+            status = stacks[0].status.tolist()
+            first = status.index(kernels.STOPPED)
+            assert chunked.evidence.index(chunked.witness) <= first
+            assert set(status[first:]) == {kernels.STOPPED}
+            assert (stacks[0].sweeps[first + 1 :] == 1).all()
 
     def test_an_unconverged_probe_means_a_witness(self, corpus300):
         for _, kind, n, _, cert in corpus300:

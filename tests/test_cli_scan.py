@@ -273,6 +273,27 @@ class TestCheckCorollary:
         with pytest.raises(ConvergenceError):
             check_corollary(generate_matrix("ginibre", 4, 2), n_samples=20)
 
+    def test_unconverged_shifts_report_their_largest_residual(self, monkeypatch):
+        # a one-sweep budget leaves shifts of a ginibre matrix unconverged;
+        # the error carries the largest coupling left among them
+        a = generate_matrix("ginibre", 6, 2)
+        monkeypatch.setattr(kernels, "MAX_JACOBI_SWEEPS", 1)
+        seen = []
+        original = spectral.shifted_smallest
+
+        def spied(*args, **kwargs):
+            seen.append(original(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(spectral, "shifted_smallest", spied)
+        with pytest.raises(ConvergenceError) as info:
+            check_corollary(a, n_samples=20)
+        unconverged = seen[0].status == kernels.UNCONVERGED
+        assert unconverged.any()
+        assert set(seen[0].status.tolist()) <= {kernels.OK, kernels.UNCONVERGED}
+        assert info.value.residual == seen[0].residual[unconverged].max() > 0.0
+        assert info.value.iterations == 1
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_shift_raises_nonfinite(self):

@@ -181,6 +181,29 @@ class TestShiftedSmallestSingular:
         one = spectral.shifted_smallest(a, zs[:1], bound=np.zeros(1))
         assert one.status[0] == kernels.OK and one.sweeps[0] > 1
 
+    def test_a_stop_carries_across_stacks(self, monkeypatch):
+        # seven shifts in stacks of two; only z_2 has a bound it can meet,
+        # so its stack stops at a witness, the stack before runs as without
+        # bounds, and every stack after stops before its first rotation:
+        # STOPPED at one sweep, with the least column norm of zI - A itself
+        a = generate_matrix("ginibre", 5, 4)
+        zs = np.linspace(-2, 2, 7) + 0.3j
+        free = spectral.shifted_smallest(a, zs)
+        bound = np.zeros(7)
+        bound[2] = 2.0 * free.s[2]
+        monkeypatch.setattr(spectral, "STACK_ENTRIES", 2 * 5 * 5)
+        res = spectral.shifted_smallest(a, zs, bound)
+        for name in ("s", "w", "status", "residual", "sweeps"):
+            assert np.array_equal(getattr(res, name)[:2], getattr(free, name)[:2]), name
+        assert res.status[2] == kernels.STOPPED and res.s[2] < bound[2]
+        assert (res.status[4:] == kernels.STOPPED).all() and (res.sweeps[4:] == 1).all()
+        for z, s_k, w_k in zip(zs[4:], res.s[4:], res.w[4:]):
+            columns = (z * np.eye(5) - a).T
+            k = np.argmin(np.linalg.norm(columns, axis=1))
+            assert np.array_equal(w_k, columns[k])
+            assert s_k == pytest.approx(np.linalg.norm(columns[k]), rel=1e-15)
+        assert (res.s >= free.s * (1.0 - 1e-13)).all()
+
     @pytest.mark.parametrize("zs", [0.5j, np.complex128(0.5j), np.zeros((2, 2))],
                              ids=["scalar", "0-D", "2-D"])
     def test_shifts_other_than_1d_raise(self, zs):
