@@ -4,16 +4,20 @@ Self-contained factorizations for desk-scale matrices: Householder QR and
 Hessenberg reduction (one reflector) plus shifted-QR Schur form, one-sided
 Jacobi singular values (sigma, and V when asked for, of a square matrix, no
 U), rank at tolerance, and modified Gram-Schmidt.
-The Hessenberg reduction and the Schur form keep Q and H in one (2n, n)
-array, Q on top of H, so a transform from the right updates both factors in
-one numpy call: a reflector's rank-one update of the buffer's columns, and a
-QR step's 2x2 rotation of two columns over the buffer's leading rows. The
-rotations' coefficients are Python complex scalars, computed with the same
-roundings as numpy's (the C library's hypot, a division by r taken as a
-product with 1/r), so Q and T are those of the separate products. Each QR
-iteration reads the active diagonal and subdiagonal once, as Python
-complex, and runs its deflation tests and its Wilkinson shift on those
-scalars; each rotation is written into one of two preallocated 2x2 arrays.
+The Hessenberg reduction keeps Q and H in one (2n, n) array, Q on top of
+H, so a reflector's rank-one update of the buffer's columns updates both
+factors in one numpy call. One shifted-QR loop, `_shifted_qr`, then decides
+every deflation and shift from the active diagonal and subdiagonal, read
+once per iteration as Python complex, and two storages apply its rotations.
+Above n = SMALL_SCHUR_N, Q and H stay in the buffer and a rotation of two
+columns is one numpy product over its leading rows (`_BufferSteps`); its
+coefficients are Python complex scalars, computed with the same roundings
+as numpy's (the C library's hypot, a division by r taken as a product with
+1/r), so Q and T are those of the separate products. Up to SMALL_SCHUR_N,
+where numpy's per-call overhead and not arithmetic sets a rotation's cost,
+the buffer becomes Python lists and each rotation runs entry by entry
+(`_ScalarSteps`); Python's complex product rounds apart from BLAS's, so Q
+and T there differ from the buffer loop's in the last bits.
 Every modulus of a Python complex goes through `_cabs`, which gives inf
 where the builtin abs raises OverflowError, as numpy's abs does. `frob` and
 the reflector's norm take np.linalg.norm's arithmetic without its dispatch.
@@ -87,6 +91,8 @@ EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
 
 MAX_QR_ITERS_PER_N = 30
+# the largest n whose Schur form runs its QR steps on Python scalars (`schur`)
+SMALL_SCHUR_N = 13
 MAX_JACOBI_SWEEPS = 30
 # the rounding margin of `_floor_holds`'s Cholesky test, in units of (n + 2)*EPS
 FLOOR_GUARD = 8.0
@@ -257,39 +263,141 @@ def _wilkinson_shift(a: complex, b: complex, c: complex, d: complex) -> complex:
     return r1 if _cabs(r1 - d) <= _cabs(r2 - d) else r2
 
 
-def schur(a) -> SchurResult:
-    """Complex Schur decomposition via Hessenberg + shifted QR.
+def _rotation(x0: complex, x1: complex) -> tuple[complex, complex]:
+    """(c0, c1) with [[c0*, c1*], [-c1, c0]] [x0, x1] = [r, 0], r = ||(x0, x1)||.
 
-    Single Wilkinson shift from the trailing 2x2 of the active block;
-    deflation when a subdiagonal drops below eps*(|h[i-1,i-1]| + |h[i,i]|).
-    An exceptional shift is injected every 10 stagnant iterations, and at
-    most MAX_QR_ITERS_PER_N * n iterations run. A 1x1 matrix runs none:
-    Q = [[1]] and T = A.
-    The result counts the iterations and the exceptional shifts among them.
-    Q and H stay in `hessenberg`'s one (2n, n) buffer, Q on top. A step's
-    rotation of columns i, i+1 from the right touches all of Q and rows
-    0..i+1 of H (below them the left rotations have zeroed both columns,
-    up to a round-off that stays out of the product), which are the
-    buffer's first n + i + 2 rows, so each rotation is one product on one
-    slice. Each iteration reads the active diagonal and subdiagonal once,
-    as Python complex, and the deflation tests, the search for the active
-    block's start and the Wilkinson shift run on those scalars. Each
-    rotation's coefficients, 1/r folded in, are written item by item into
-    one of two preallocated 2x2 arrays, and the shift goes on and off H's
-    diagonal through one strided view.
+    1/r is taken once and multiplied in, as numpy divides by a scalar.
     """
-    a = as_square(a)
-    n = a.shape[0]
+    r = _cabs(complex(_cabs(x0), _cabs(x1)))
+    # x1 is a subdiagonal the deflation test kept, so r is 0 only where NaN
+    # entries defeat that test; the identity then stands in
+    if r == 0.0:
+        return 1.0, 0.0
+    return x0 * (1.0 / r), x1 * (1.0 / r)
+
+
+class _BufferSteps:
+    """QR steps on `hessenberg`'s (2n, n) buffer: each rotation one numpy product.
+
+    A step's rotation of columns i, i+1 from the right touches all of Q and
+    rows 0..i+1 of H (below them the left rotations have zeroed both
+    columns, up to a round-off that stays out of the product), which are
+    the buffer's first n + i + 2 rows, so it is one product on one slice.
+    Each rotation's coefficients are written item by item into one of two
+    preallocated 2x2 arrays, and the shift goes on and off H's diagonal
+    through one strided view.
+    """
+
+    def __init__(self, qh: np.ndarray):
+        n = qh.shape[1]
+        self.n, self.qh, self.h = n, qh, qh[n:]
+        self.diag = self.h.reshape(-1)[:: n + 1]
+        # the subdiagonal: sub[i] is h[i + 1, i]
+        self.sub = self.h.reshape(-1)[n :: n + 1]
+        # a rotation and its conjugate transpose, filled in place per step
+        self.g = np.empty((2, 2), dtype=complex)
+        self.gc = np.empty((2, 2), dtype=complex)
+
+    def active(self, m: int) -> tuple[list, list]:
+        return self.diag[: m + 1].tolist(), self.sub[:m].tolist()
+
+    def item(self, i: int, j: int) -> complex:
+        return self.h.item(i, j)
+
+    def split(self, i: int) -> None:
+        self.h[i, i - 1] = 0.0
+
+    def step(self, low: int, m: int, mu: complex, s: list) -> None:
+        n, qh, h, diag, g, gc = self.n, self.qh, self.h, self.diag, self.g, self.gc
+        diag[low : m + 1] -= mu
+        coeffs = []
+        for i in range(low, m):
+            # this step's rotations so far touched rows low..i only, so the
+            # subdiagonal below h[i, i] is still s[i]
+            c0, c1 = _rotation(diag.item(i), s[i])
+            g[0, 0] = c0.conjugate()
+            g[0, 1] = c1.conjugate()
+            g[1, 0] = -c1
+            g[1, 1] = c0
+            rows = h[i : i + 2, i:]
+            rows[...] = g @ rows
+            coeffs.append((c0, c1))
+        for i, (c0, c1) in enumerate(coeffs, start=low):
+            # g's conjugate transpose, on Q and H at once
+            gc[0, 0] = c0
+            gc[0, 1] = -c1.conjugate()
+            gc[1, 0] = c1
+            gc[1, 1] = c0.conjugate()
+            cols = qh[: n + i + 2, i : i + 2]
+            cols[...] = cols @ gc
+        diag[low : m + 1] += mu
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.qh[: self.n].copy(), np.triu(self.h)
+
+
+class _ScalarSteps:
+    """QR steps on Python complex: Q's and H's rows as lists, one entry at a time.
+
+    The same rotations as `_BufferSteps`, over the same entries: rows i,
+    i+1 of H from column i on from the left, then columns i, i+1 of Q and
+    of H's rows 0..i+1 from the right.
+    """
+
+    def __init__(self, qh: np.ndarray):
+        self.n = qh.shape[1]
+        self.rows = qh.tolist()
+        self.h = self.rows[self.n :]
+
+    def active(self, m: int) -> tuple[list, list]:
+        h = self.h
+        return [h[i][i] for i in range(m + 1)], [h[i + 1][i] for i in range(m)]
+
+    def item(self, i: int, j: int) -> complex:
+        return self.h[i][j]
+
+    def split(self, i: int) -> None:
+        self.h[i][i - 1] = 0j
+
+    def step(self, low: int, m: int, mu: complex, s: list) -> None:
+        n, rows, h = self.n, self.rows, self.h
+        for i in range(low, m + 1):
+            h[i][i] -= mu
+        coeffs = []
+        for i in range(low, m):
+            hi, hj = h[i], h[i + 1]
+            c0, c1 = _rotation(hi[i], s[i])
+            c0c, c1c = c0.conjugate(), c1.conjugate()
+            for j in range(i, n):
+                a, b = hi[j], hj[j]
+                hi[j] = c0c * a + c1c * b
+                hj[j] = c0 * b - c1 * a
+            coeffs.append((i, c0, c1, c0c, c1c))
+        for i, c0, c1, c0c, c1c in coeffs:
+            for row in rows[: n + i + 2]:
+                a, b = row[i], row[i + 1]
+                row[i] = a * c0 + b * c1
+                row[i + 1] = b * c0c - a * c1c
+        for i in range(low, m + 1):
+            h[i][i] += mu
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        qh = np.array(self.rows, dtype=np.complex128)
+        return qh[: self.n].copy(), np.triu(qh[self.n :])
+
+
+def _shifted_qr(steps, n: int, anorm: float) -> tuple[int, int]:
+    """Run shifted QR on steps' H to triangular form; return (iterations, exceptional shifts).
+
+    steps holds Q and H, as `_BufferSteps` or `_ScalarSteps`; this loop
+    decides every deflation, split and shift and reads and writes H only
+    through it: active(m) is the diagonal and the subdiagonal of
+    h[0..m, 0..m] as lists of Python complex, item(i, j) is h[i, j],
+    split(i) writes the exact zero h[i, i-1] = 0, and step(low, m, mu, s)
+    runs one QR step with shift mu on the block low..m, s the subdiagonal
+    as read.
+    """
     max_iters = MAX_QR_ITERS_PER_N * n
-    anorm = frob(a)
-    qh = hessenberg(a)
-    h = qh[n:]
-    diag = h.reshape(-1)[:: n + 1]
-    # the subdiagonal: sub[i] is h[i + 1, i]
-    sub = h.reshape(-1)[n :: n + 1]
-    # a rotation and its conjugate transpose, filled in place per step
-    g = np.empty((2, 2), dtype=complex)
-    gc = np.empty((2, 2), dtype=complex)
 
     def negligible(i: int) -> bool:
         thresh = EPS * (_cabs(d[i - 1]) + _cabs(d[i]))
@@ -305,10 +413,9 @@ def schur(a) -> SchurResult:
         # the deflation tests and the shift read the active diagonal d and
         # subdiagonal s as Python complex, once per QR iteration: no test
         # reads the zero a deflation writes, so one read serves them all
-        d = diag[: m + 1].tolist()
-        s = sub[:m].tolist()
+        d, s = steps.active(m)
         while m > 0 and negligible(m):
-            h[m, m - 1] = 0.0
+            steps.split(m)
             m -= 1
             stagnant = 0
         if m == 0:
@@ -327,41 +434,49 @@ def schur(a) -> SchurResult:
         while low > 0 and not negligible(low):
             low -= 1
         if low > 0:
-            h[low, low - 1] = 0.0
+            steps.split(low)
         if stagnant % 10 == 0:
             # deterministic exceptional shift to break symmetric cycling
             exceptional += 1
-            mu = h[m, m] + 0.75 * abs(h[m, m - 1])
+            mu = d[m] + 0.75 * _cabs(s[m - 1])
         else:
-            mu = _wilkinson_shift(d[m - 1], h.item(m - 1, m), s[m - 1], d[m])
-        diag[low : m + 1] -= mu
-        coeffs = []
-        for i in range(low, m):
-            # this step's rotations so far touched rows low..i only, so the
-            # subdiagonal below h[i, i] is still s[i]
-            x0, x1 = diag.item(i), s[i]
-            r = _cabs(complex(_cabs(x0), _cabs(x1)))
-            # x1 is a subdiagonal the deflation test kept, so r is 0 only
-            # where NaN entries defeat that test; the identity then stands in
-            c0, c1 = (x0 * (1.0 / r), x1 * (1.0 / r)) if r != 0.0 else (1.0, 0.0)
-            g[0, 0] = c0.conjugate()
-            g[0, 1] = c1.conjugate()
-            g[1, 0] = -c1
-            g[1, 1] = c0
-            rows = h[i : i + 2, i:]
-            rows[...] = g @ rows
-            coeffs.append((c0, c1))
-        for i, (c0, c1) in enumerate(coeffs, start=low):
-            # g's conjugate transpose, on Q and H at once
-            gc[0, 0] = c0
-            gc[0, 1] = -c1.conjugate()
-            gc[1, 0] = c1
-            gc[1, 1] = c0.conjugate()
-            cols = qh[: n + i + 2, i : i + 2]
-            cols[...] = cols @ gc
-        diag[low : m + 1] += mu
-    t = np.triu(h)
-    return SchurResult(qh[:n].copy(), t, np.diag(t).copy(), iters, exceptional)
+            mu = _wilkinson_shift(d[m - 1], steps.item(m - 1, m), s[m - 1], d[m])
+        steps.step(low, m, mu, s)
+    return iters, exceptional
+
+
+def schur(a) -> SchurResult:
+    """Complex Schur decomposition via Hessenberg + shifted QR.
+
+    Single Wilkinson shift from the trailing 2x2 of the active block;
+    deflation when a subdiagonal drops below eps*(|h[i-1,i-1]| + |h[i,i]|).
+    An exceptional shift is injected every 10 stagnant iterations, and at
+    most MAX_QR_ITERS_PER_N * n iterations run. A 1x1 matrix runs none:
+    Q = [[1]] and T = A.
+    The result counts the iterations and the exceptional shifts among them.
+    One loop, `_shifted_qr`, decides every deflation and shift, and two
+    storages apply its steps to Q and H. Up to n = SMALL_SCHUR_N they are
+    Python lists of complex (`_ScalarSteps`): there a rotation touches at
+    most 2n + 2 entry pairs, and numpy's per-call overhead, not arithmetic,
+    would set its cost. Above it they stay in `hessenberg`'s (2n, n) buffer
+    (`_BufferSteps`), one numpy product per rotation. On a 2-core x86_64
+    host (Python 3.11, OpenBLAS on one thread) the scalar loop took 0.65x
+    the buffer loop's time at n = 4, 0.72x at 8 and 0.90x at 13, and
+    crossed over between n = 14 and 15. The two storages round their
+    products apart in the last bits (BLAS against Python's complex
+    product), so the same A gives Q and T a few ulps apart on the two
+    loops, and rarely (1 of the 864 matrices `tests/digest_outputs.py`
+    certifies) an iteration count one apart, after which Q and T can differ
+    beyond rounding (there, two columns of Q by unit phases).
+    """
+    a = as_square(a)
+    n = a.shape[0]
+    anorm = frob(a)
+    qh = hessenberg(a)
+    steps = (_ScalarSteps if n <= SMALL_SCHUR_N else _BufferSteps)(qh)
+    iters, exceptional = _shifted_qr(steps, n, anorm)
+    q, t = steps.factors()
+    return SchurResult(q, t, np.diag(t).copy(), iters, exceptional)
 
 
 # ---------------------------------------------------------------------------

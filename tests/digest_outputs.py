@@ -4,7 +4,7 @@ Run from anywhere, with the checkout to digest:
 
     python3 tests/digest_outputs.py
 
-It prints three lines, to compare between two checkouts:
+It prints four lines, to compare between two checkouts:
 
 - certify: the verdict counts and one sha256 over the certify documents
   (certificate_to_dict through io.dump_json) and the Indeterminate or
@@ -16,7 +16,10 @@ It prints three lines, to compare between two checkouts:
   scratch directory written as <dir>;
 - raised: one sha256 over the type, message, iterations and residual of what
   svd, certify, gap and check_corollary raise on a fixed set of failing
-  inputs.
+  inputs;
+- schur: the Schur forms the 864 certifies ran, with their total QR
+  iterations and exceptional shifts (SchurResult.iterations and
+  .exceptional_shifts, summed).
 
 Every certify and CLI operation runs through perfbench/run.py's `call`, the
 scan_cli ones built by its `build_ops`, as the benchmark runs them. Nothing
@@ -62,19 +65,32 @@ def certify_inputs() -> list[np.ndarray]:
     return inputs
 
 
-def certify_digest() -> tuple[Counter, str]:
-    """Verdict counts and one sha256 over every certify outcome, in order."""
+def certify_digest() -> tuple[Counter, str, list]:
+    """Verdict counts, one sha256 over every certify outcome, in order, and
+    the (iterations, exceptional shifts) of each Schur form the certifies ran."""
     counts = Counter()
     digest = hashlib.sha256()
-    for a in certify_inputs():
-        payload = run.call(run.Op("certify", None, a, "certify"))
-        if payload[0] == "cert":
-            verdict, text = payload[1].verdict, io.dump_json(payload[2])
-        else:
-            verdict, text = VERDICTS[payload[0]], payload[1]
-        counts[verdict] += 1
-        digest.update(f"{verdict}\n{text}\n".encode())
-    return counts, digest.hexdigest()
+    forms = []
+    schur = kernels.schur
+
+    def counted(a):
+        res = schur(a)
+        forms.append((res.iterations, res.exceptional_shifts))
+        return res
+
+    kernels.schur = counted
+    try:
+        for a in certify_inputs():
+            payload = run.call(run.Op("certify", None, a, "certify"))
+            if payload[0] == "cert":
+                verdict, text = payload[1].verdict, io.dump_json(payload[2])
+            else:
+                verdict, text = VERDICTS[payload[0]], payload[1]
+            counts[verdict] += 1
+            digest.update(f"{verdict}\n{text}\n".encode())
+    finally:
+        kernels.schur = schur
+    return counts, digest.hexdigest(), forms
 
 
 def scan_digest() -> tuple[int, str]:
@@ -145,7 +161,7 @@ def raised_digest() -> tuple[int, str]:
 
 
 def main() -> int:
-    counts, certified = certify_digest()
+    counts, certified, forms = certify_digest()
     total = sum(counts.values())
     verdicts = " / ".join(f"{counts[v]} {v}" for v in sorted(counts))
     print(f"certify: {total} matrices, {verdicts}, sha256 {certified}")
@@ -153,6 +169,9 @@ def main() -> int:
     print(f"scan_cli: {ops} ops at seeds {SCAN_SEEDS[0]}-{SCAN_SEEDS[-1]}, sha256 {scanned}")
     cases, raised = raised_digest()
     print(f"raised: {cases} cases, sha256 {raised}")
+    iterations, exceptional = (sum(c) for c in zip(*forms))
+    print(f"schur: {len(forms)} forms over the {total} matrices, "
+          f"{iterations} QR iterations, {exceptional} exceptional shifts")
     return 0
 
 

@@ -609,21 +609,21 @@ class TestWitnessVector:
         return b, cert, steps, stack, calls["svd"]
 
     def test_ill_conditioned_witness_takes_a_refinement_step(self, monkeypatch):
-        # corpus 3, jordan n=5, under UAU*: cond(zI - T) is about 5e14, and
-        # the back-substituted x misses its bound (6.88e-4 against 6.60e-4);
+        # corpus 45, jordan n=5, under UAU*: cond(zI - T) is about 2e15, and
+        # the back-substituted x misses its bound (4.871e-4 against 4.842e-4);
         # one inverse-iteration step on T gives the witness, with no second
         # svd call
-        b, cert, steps, _, svd_calls = self.certify_rotated(3, monkeypatch)
+        b, cert, steps, _, svd_calls = self.certify_rotated(45, monkeypatch)
         assert cert.verdict == "Nonnormal"
         assert steps == [1] and svd_calls == 1
         assert not cert.witness.converged
         assert_witness_rechecks(b, cert)
 
     def test_witness_s_is_its_own_vectors_residual(self, monkeypatch):
-        # corpus 285, jordan n=7, under UAU*: the stack's stopped column
-        # reads s = 1.653e-3, while the back-substituted x, which meets its
-        # bound, has ||(zI - A)x|| = 1.066e-3; the certificate reports x's
-        b, cert, steps, stack, svd_calls = self.certify_rotated(285, monkeypatch)
+        # corpus 33, jordan n=7, under UAU*: the stack's stopped column
+        # reads s = 1.940e-3, while the back-substituted x, which meets its
+        # bound, has ||(zI - A)x|| = 1.354e-3; the certificate reports x's
+        b, cert, steps, stack, svd_calls = self.certify_rotated(33, monkeypatch)
         assert cert.verdict == "Nonnormal" and steps == [0] and svd_calls == 1
         k = cert.evidence.index(cert.witness)
         assert recheck_witness(b, cert) == cert.witness.s < 0.7 * stack.s[k]

@@ -291,13 +291,16 @@ class TestSchur:
         assert oracles.match_multisets(res.eigenvalues, expected) < 1e-10
 
     def test_nonconvergence_reports_iterations(self, monkeypatch):
-        # a budget of one QR iteration per row: this 8x8 matrix needs more
+        # a budget of one QR iteration per row: this 8x8 matrix needs more,
+        # on the buffer loop (threshold 0) and on the scalar loop alike
         monkeypatch.setattr(kernels, "MAX_QR_ITERS_PER_N", 1)
         rng = np.random.default_rng(0)
         a = random_complex(rng, 8, 8)
-        with pytest.raises(ConvergenceError) as exc:
-            kernels.schur(a)
-        assert exc.value.iterations == 8
+        for threshold in (0, 8):
+            monkeypatch.setattr(kernels, "SMALL_SCHUR_N", threshold)
+            with pytest.raises(ConvergenceError) as exc:
+                kernels.schur(a)
+            assert exc.value.iterations == 8
 
 
 # the constant c of the Schur and Hessenberg bounds below; the largest ratio
@@ -369,26 +372,69 @@ def reference_schur(a):
     return q, np.triu(h), iters, exceptional
 
 
+SCHUR_GRID_KINDS = ("normal", "ginibre", "near_normal", "hermitian", "unitary", "jordan", "cyclic")
+
+# the constant c of the scalar loop's distance from reference_schur, in units
+# of n*EPS*max(1, ||A||_F); over the seeded kinds below at n <= 16, seeds 0-39,
+# where the iterations agree, the largest ratio measured is about 32 at
+# n <= 13 (normal, n = 4) and 71 at n = 14
+SCALAR_C = 64.0
+
+
+def schur_grid_matrix(kind, n):
+    if kind == "cyclic":
+        # at n = 3: ten stagnant iterations, then the exceptional shift
+        return np.roll(np.eye(n), 1, axis=1).astype(complex)
+    return generate_matrix(kind, n, 3, 1e-3 if kind == "near_normal" else None)
+
+
+def assert_scalar_loop_tracks_reference(a):
+    """kernels.schur of a (run on the scalar loop) takes reference_schur's
+    iterations and shifts, and its Q and T are within SCALAR_C*n*EPS*max(1, ||A||_F)."""
+    n = a.shape[0]
+    assert n <= kernels.SMALL_SCHUR_N
+    q, t, iters, exceptional = reference_schur(a)
+    res = kernels.schur(a)
+    assert (res.iterations, res.exceptional_shifts) == (iters, exceptional)
+    bound = SCALAR_C * n * kernels.EPS * max(1.0, np.linalg.norm(a))
+    assert np.abs(res.q - q).max() <= bound and np.abs(res.t - t).max() <= bound
+    assert np.array_equal(res.t, np.triu(res.t))
+    assert np.array_equal(res.eigenvalues, np.diag(res.t))
+
+
 class TestSchurSharedBuffer:
-    """Bounds and counts of the Schur form whose Q and H share one array."""
+    """Bounds and counts of the Schur form's two loops: Q and H in one numpy
+    buffer above SMALL_SCHUR_N, as Python scalars up to it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-    @pytest.mark.parametrize(
-        "kind",
-        ["normal", "ginibre", "near_normal", "hermitian", "unitary", "jordan", "cyclic"],
-    )
-    def test_bit_identical_to_separate_factors(self, kind, n):
-        # the shared buffer and the scalar reads change which numpy calls
-        # run, not the arithmetic
-        if kind == "cyclic":
-            # at n = 3: ten stagnant iterations, then the exceptional shift
-            a = np.roll(np.eye(n), 1, axis=1).astype(complex)
-        else:
-            a = generate_matrix(kind, n, 3, 1e-3 if kind == "near_normal" else None)
+    @pytest.mark.parametrize("kind", SCHUR_GRID_KINDS)
+    def test_bit_identical_to_separate_factors(self, kind, n, monkeypatch):
+        # the buffer loop, at every n: the shared buffer and the scalar reads
+        # change which numpy calls run, not the arithmetic
+        monkeypatch.setattr(kernels, "SMALL_SCHUR_N", 0)
+        a = schur_grid_matrix(kind, n)
         q, t, iters, exceptional = reference_schur(a)
         res = kernels.schur(a)
         assert np.array_equal(res.q, q) and np.array_equal(res.t, t)
         assert (res.iterations, res.exceptional_shifts) == (iters, exceptional)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("kind", SCHUR_GRID_KINDS)
+    def test_scalar_loop_rounds_close_to_separate_factors(self, kind, n, monkeypatch):
+        # the scalar loop, at every n: Python's complex product rounds apart
+        # from BLAS, so Q and T move in the last bits, not the iterations
+        monkeypatch.setattr(kernels, "SMALL_SCHUR_N", n)
+        assert_scalar_loop_tracks_reference(schur_grid_matrix(kind, n))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from([k for k in SCHUR_GRID_KINDS if k != "cyclic"]),
+        n=st.integers(1, kernels.SMALL_SCHUR_N),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scalar_loop_tracks_separate_factors_on_draws(self, kind, n, seed):
+        a = generate_matrix(kind, n, seed, 1e-3 if kind == "near_normal" else None)
+        assert_scalar_loop_tracks_reference(a)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
     @pytest.mark.parametrize("kind", ["normal", "ginibre", "jordan", "near_normal"])
